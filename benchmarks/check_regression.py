@@ -32,17 +32,11 @@ DEFAULT_THRESHOLD = 0.20
 MAX_TRACING_OVERHEAD = 5.0
 
 #: Same guard for one *sharded* cell (16 disks / 4 shards).  Tracing a
-#: sharded cell additionally forces every shard kernel off the SoA fast
-#: path onto object dispatch and k-way-merges the segments, so the
-#: measured ratio sits near 10x; beyond 14x the emission-time remapping
-#: or the streaming merge has grown pathological work.
+#: sharded cell additionally remaps ids at emission and k-way-merges the
+#: per-shard segments, re-decoding every line, so the measured ratio
+#: sits near 10x; beyond 14x the emission-time remapping or the
+#: streaming merge has grown pathological work.
 MAX_SHARD_TRACING_OVERHEAD = 14.0
-
-#: Hard floor on the batched (SoA) kernel rate: 3x the object-path
-#: kernel's committed 1.07M events/sec.  Unlike the relative threshold
-#: below, this is an absolute gate — the vectorized kernel must never
-#: drift back toward per-object dispatch speed.
-FLOOR_KERNEL_EVENTS_PER_SEC = 3_220_000
 
 #: Hard floor on the streamed sharded dispatch rate (requests/sec end to
 #: end: chunked generation + filtered dispatch + per-shard kernels +
@@ -61,12 +55,9 @@ MAX_SHARD_MERGE_S = 0.25
 #: metric name -> True if higher is better.  ``cell_obs_off_s`` is the
 #: obs-disabled guard: the telemetry hooks must not slow the default
 #: (no-subscriber) path beyond the ordinary threshold.
-#: ``kernel_events_per_sec`` is the batched SoA kernel (per-disk lane
-#: updates drained through :class:`~repro.sim.soa.BatchTicker`);
-#: ``kernel_events_per_sec_object`` is the object-dispatch kernel
+#: ``kernel_events_per_sec_object`` is the event kernel's dispatch rate
 #: (self-rescheduling tick through the event heap).
 _METRICS = {
-    "kernel_events_per_sec": True,
     "kernel_events_per_sec_object": True,
     "sweep8_serial_s": False,
     "sweep8_jobs4_s": False,
@@ -142,24 +133,6 @@ def tracing_overhead(current: dict, *,
     return problems
 
 
-def kernel_floor(current: dict, *,
-                 floor: float = FLOOR_KERNEL_EVENTS_PER_SEC) -> list[str]:
-    """Absolute floor on the batched kernel rate (3x the object path).
-
-    Returns an empty list when the metric is absent (old result files)
-    — the relative :func:`compare` gate still applies to those.
-    """
-    if not floor > 0.0:
-        raise ValueError(f"floor must be > 0, got {floor!r}")
-    if "kernel_events_per_sec" not in current:
-        return []
-    rate = float(current["kernel_events_per_sec"])
-    if rate < floor:
-        return [f"kernel floor: {rate:g} events/sec below the "
-                f"{floor:g} absolute floor (3x object path)"]
-    return []
-
-
 def stream_floor(current: dict, *,
                  floor: float = FLOOR_STREAM_REQUESTS_PER_SEC,
                  merge_ceiling: float = MAX_SHARD_MERGE_S) -> list[str]:
@@ -198,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     current = json.loads(results_path.read_text(encoding="utf-8"))
     baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
     problems = (compare(current, baseline) + tracing_overhead(current)
-                + kernel_floor(current) + stream_floor(current))
+                + stream_floor(current))
     if problems:
         for line in problems:
             print(f"REGRESSION {line}")

@@ -74,7 +74,10 @@ _log = get_logger("sweep")
 _POLL_INTERVAL_S = 0.05
 
 #: On-disk checkpoint format version (bumped on incompatible layouts).
-CHECKPOINT_VERSION = 1
+#: The journal pickles slotted result dataclasses, which unpickle by
+#: field position: removing or reordering a result field is such a
+#: change (2: ``kernel_backend`` left ``SimulationResult``).
+CHECKPOINT_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +253,7 @@ class SweepInterrupted(RuntimeError):
 class SweepCheckpoint:
     """On-disk journal of completed cells, keyed by :func:`spec_key`.
 
-    The whole journal is one pickle ``{"version": 1, "cells": {key:
+    The whole journal is one pickle ``{"version": 2, "cells": {key:
     SimulationResult}}`` republished atomically after every recorded
     cell, so a crash at any instant leaves either the previous or the
     new complete journal — never a torn file.  A journal that fails to

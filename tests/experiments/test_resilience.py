@@ -161,6 +161,15 @@ class TestSweepCheckpoint:
         ckpt = SweepCheckpoint(path)
         assert ckpt.loaded == 0 and ckpt.quarantined is not None
 
+    def test_journal_from_an_older_result_layout_is_quarantined(self, tmp_path):
+        # version-1 journals pickled SimulationResult with a field that
+        # no longer exists; slotted dataclasses unpickle by position, so
+        # resuming one would shift every later field into the wrong slot
+        path = tmp_path / "sweep.ckpt"
+        path.write_bytes(pickle.dumps({"version": 1, "cells": {}}))
+        ckpt = SweepCheckpoint(path)
+        assert ckpt.loaded == 0 and ckpt.quarantined is not None
+
 
 class TestRunCellResilient:
     def test_clean_cell_matches_plain_run_cell(self):

@@ -9,6 +9,10 @@ domain rather than at hand-picked points:
   this direction being right;
 * :meth:`PRESSModel.rescore_factors` agrees with scoring the same raw
   factors through a fresh model (re-scoring is a pure function);
+* :meth:`PRESSModel.disk_afr_batch` equals :meth:`PRESSModel.disk_afr`
+  element for element, bit for bit, over every factor value a run can
+  produce (an unsharded cell scores per drive, the shard merge scores
+  the whole array in one batch);
 * :func:`annual_failure_rate_to_rate` solves ``1 - exp(-rate) == afr``
   exactly (the round-trip the docstring promises).
 """
@@ -18,6 +22,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.disk.parameters import AMBIENT_TEMPERATURE_C, cheetah_two_speed
 from repro.experiments.failures import annual_failure_rate_to_rate
 from repro.press.frequency import EQ3_COEFFICIENTS
 from repro.press.model import DiskFactors, PRESSModel
@@ -89,6 +94,26 @@ class TestRescoreConsistency:
             assert after.mean_temperature_c == before.mean_temperature_c
             assert after.utilization_percent == before.utilization_percent
             assert after.transitions_per_day == before.transitions_per_day
+
+
+# what a simulated drive can report: a failed drive cools toward ambient,
+# a spinning one relaxes toward its speed's steady temperature; a short
+# run normalizes a handful of transitions to a very high daily rate
+_PARAMS = cheetah_two_speed()
+run_temps = st.floats(AMBIENT_TEMPERATURE_C, _PARAMS.high.steady_temp_c,
+                      allow_nan=False, allow_subnormal=False)
+run_utils = st.floats(0.0, 100.0, allow_nan=False, allow_subnormal=False)
+run_freqs = st.floats(0.0, 1e5, allow_nan=False, allow_subnormal=False)
+
+
+class TestBatchScoringMatchesScalar:
+    @settings(max_examples=200, deadline=None)
+    @given(raw=st.lists(st.tuples(run_temps, run_utils, run_freqs),
+                        min_size=1, max_size=16))
+    def test_batch_equals_per_disk_bit_for_bit(self, raw):
+        t, u, f = (list(col) for col in zip(*raw))
+        batch = MODEL.disk_afr_batch(t, u, f).tolist()
+        assert batch == [MODEL.disk_afr(*factors) for factors in raw]
 
 
 class TestRateRoundTrip:
