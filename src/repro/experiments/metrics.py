@@ -133,9 +133,13 @@ class SimulationResult:
     faults: FaultSummary | None = None
     #: Kernel events the run executed (0 for results predating telemetry).
     events_executed: int = 0
-    #: Wall-clock seconds the run took (0.0 for legacy results).
-    #: Measurement noise, not simulation output — excluded from equality
-    #: so serial/parallel sweeps still compare bit-for-bit.
+    #: Wall-clock seconds of the event-loop drain (0.0 for legacy
+    #: results): timed by the shared dispatch loop on both paths, so it
+    #: excludes set-up (workload, array, layout) and end-of-run scoring,
+    #: though a streamed shard generates its later chunks inside it; a
+    #: merged sharded result sums its shards' drains.  Measurement
+    #: noise, not simulation output — excluded from equality so
+    #: serial/parallel sweeps still compare bit-for-bit.
     wall_clock_s: float = field(default=0.0, compare=False)
     #: Per-disk sampled telemetry; ``None`` unless sampling was enabled.
     timeseries: TimeSeries | None = None

@@ -96,10 +96,10 @@ class RunSpec:
     queue_discipline: QueueDiscipline = QueueDiscipline.FCFS
     faults: Optional[FaultConfig] = None
     obs: Optional[ObsConfig] = None
-    #: Set on the sub-cells a sharded run fans out (see
-    #: :mod:`repro.experiments.shard`): the cell then simulates one shard
-    #: of the array over the *streamed* workload and returns a
-    #: ``ShardCellResult`` (an open partial result the shard merger
+    #: Set on the sub-cells :func:`~repro.experiments.shard
+    #: .run_sharded_cells` fans out: the cell then runs the shared cell
+    #: assembly over one shard of the array and the *streamed* workload
+    #: and returns a ``ShardCellResult`` (open ledgers the shard merge
     #: closes), not a ``SimulationResult``.  ``None`` = ordinary cell.
     shard: "Optional[ShardCellSpec]" = None
     #: Redundancy-group scheme (``None`` = no layout; see
@@ -133,8 +133,8 @@ def run_cell(spec: RunSpec) -> SimulationResult:
     return a ``ShardCellResult`` — an open partial result only
     :func:`repro.experiments.shard.merge_shard_results` can consume.
     The cast below keeps the common signature; only the shard fan-out
-    in :func:`~repro.experiments.shard.run_sharded` builds such specs,
-    and it knows the real type of what comes back.
+    (:func:`~repro.experiments.shard.run_sharded_cells`) builds such
+    specs, and it knows the real type of what comes back.
     """
     if spec.shard is not None:
         from repro.experiments.shard import run_shard_cell

@@ -6,6 +6,12 @@ streams the trace's arrivals through the policy's router, runs until the
 last user request completes, then freezes metrics, energy, and the PRESS
 reliability assessment into a :class:`SimulationResult`.
 
+The build (:func:`_build_cell`) and the drain (:func:`_drain`) are the
+one cell assembly: the shard worker
+(:func:`repro.experiments.shard.run_shard_cell`) runs the same two
+functions and differs only in its arrival source, completion sink and
+close step.
+
 Arrivals are streamed (each arrival event schedules the next) rather
 than pre-loaded, so multi-million-request traces don't balloon the event
 heap.  End-of-run semantics: the measured horizon is the completion time
@@ -20,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from time import perf_counter
-from typing import Callable
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.core.extensions import (
     ReplicatingREADConfig,
@@ -144,6 +150,172 @@ class ExperimentConfig:
         return cached_generate(self.workload)
 
 
+#: One block of arrivals for :func:`_drain`: absolute arrival times and
+#: file ids, as plain lists (list indexing returns ready-made floats and
+#: ints, where numpy scalars would need coercion on every arrival).
+_Chunk = tuple[list[float], list[int]]
+
+
+@dataclass(slots=True)
+class _Cell:
+    """One assembled cell: kernel, telemetry, array and the bound policy."""
+
+    sim: Simulator
+    array: DiskArray
+    policy: Policy
+    #: The completion sink: ``RequestMetrics`` (unsharded) or the shard's
+    #: constant-memory sums.  It owns the stop condition (``all_done``,
+    #: calling ``sim.request_stop`` from the last completion).
+    sink: Any
+    bus: TraceBus | None
+    writer: JsonlTraceWriter | None
+    sampler: DiskSampler | None
+    registry: MetricsRegistry | None
+    profiler: KernelProfiler | None
+    injector: FaultInjector | None
+
+    def close(self) -> None:
+        """Stop sampling and publish the trace (after the caller's close step)."""
+        if self.sampler is not None:
+            self.sampler.shutdown()
+        if self.writer is not None:
+            self.writer.close()
+
+
+def _build_cell(policy: Policy, fileset: FileSet, *, n_disks: int,
+                disk_params: TwoSpeedDiskParams | None,
+                initial_speed: DiskSpeed, queue_discipline: QueueDiscipline,
+                obs: ObsConfig | None, trace_path: str | None,
+                make_sink: Callable[[Callable[[], None]], Any],
+                tags: Mapping[str, object] | None = None,
+                id_maps: Mapping[str, Callable[[int], int]] | None = None,
+                disk_offset: int = 0,
+                faults: FaultConfig | None = None,
+                press: PRESSModel | None = None,
+                groups: RedundancyGroups | None = None) -> _Cell:
+    """Build one cell and lay its data out, ready for :func:`_drain`.
+
+    The one assembly behind :func:`run_simulation` and the shard worker
+    (:func:`repro.experiments.shard.run_shard_cell`).  What differs
+    between them arrives as data: the trace file (the whole trace, or
+    one shard's segment) with the bus ``tags``/``id_maps`` that stamp
+    shard events under global ids, the sampler's ``disk_offset``, and
+    ``make_sink``, which receives ``sim.request_stop`` and returns the
+    completion sink.
+    """
+    params = disk_params if disk_params is not None else _default_disk_params()
+    sim = Simulator()
+    # Telemetry attaches before anything observes sim.trace: drives cache
+    # the bus at construction, policies at bind, the injector at init.
+    bus: TraceBus | None = None
+    writer: JsonlTraceWriter | None = None
+    if trace_path is not None:
+        bus = TraceBus(tags=tags, id_maps=id_maps)
+        writer = JsonlTraceWriter(trace_path)
+        bus.subscribe(writer)
+        sim.trace = bus
+    profiler: KernelProfiler | None = None
+    if obs is not None and obs.profile:
+        profiler = KernelProfiler()
+        sim.set_profiler(profiler)
+    array = DiskArray(sim, params, n_disks, fileset, initial_speed=initial_speed,
+                      queue_discipline=queue_discipline)
+    registry: MetricsRegistry | None = None
+    sampler: DiskSampler | None = None
+    if obs is not None and obs.wants_sampler:
+        registry = MetricsRegistry()
+        sampler = DiskSampler(sim, array, obs.effective_sample_interval_s,
+                              registry=registry, disk_offset=disk_offset)
+        sampler.install()
+    sink = make_sink(sim.request_stop)
+
+    policy.bind(sim, array, fileset)
+    injector: FaultInjector | None = None
+    if faults is None:
+        policy.completion_callback = sink.on_complete
+    else:
+        injector = FaultInjector(sim, array, policy,
+                                 press if press is not None else _default_press(),
+                                 faults, on_success=sink.on_complete,
+                                 on_permanent_failure=sink.on_failed,
+                                 redundancy=groups)
+        injector.install()
+        policy.completion_callback = injector.on_user_job_complete
+    policy.initial_layout()
+    return _Cell(sim=sim, array=array, policy=policy, sink=sink, bus=bus,
+                 writer=writer, sampler=sampler, registry=registry,
+                 profiler=profiler, injector=injector)
+
+
+def _drain(cell: _Cell, chunks: Iterator[_Chunk],
+           on_exhausted: Callable[[int], None] | None = None) -> float:
+    """Dispatch every arrival of ``chunks``, run to completion, stop the cell.
+
+    Arrivals are streamed (each arrival event schedules the next, at
+    ``priority=-1`` so loads land before same-instant model work) rather
+    than pre-loaded, and one chunk is resident at a time; a materialized
+    trace is a single chunk.  ``on_exhausted`` receives the dispatched
+    total once, when the last chunk is used up.  The kernel runs until
+    the sink stops it from the last completion — policies' periodic
+    tasks keep the queue non-empty, so completion, not queue
+    exhaustion, is the stop condition.  A chunk source with no arrival
+    at all runs nothing (a shard no request targets).
+
+    Returns the wall-clock seconds of the event loop alone.  On any
+    exception the trace is set aside as ``<path>.partial``; on success
+    the policy (and fault injector) are shut down, at the horizon.
+    """
+    sim, sink = cell.sim, cell.sink
+    sizes = cell.array.fileset.sizes_mb.tolist()
+    route = cell.policy.route
+    schedule_at = sim.schedule_at
+    new_request = Request.from_validated
+    times: list[float] = []
+    ids: list[int] = []
+    i = n = total = 0
+
+    def load_next() -> bool:
+        nonlocal times, ids, i, n, total
+        for times, ids in chunks:
+            n = len(times)
+            if n:
+                total += n
+                i = 0
+                return True
+        if on_exhausted is not None:
+            on_exhausted(total)
+        return False
+
+    def dispatch_next() -> None:
+        nonlocal i
+        fid = ids[i]
+        route(new_request(sim.now, fid, sizes[fid]))
+        i += 1
+        if i < n or load_next():
+            schedule_at(times[i], dispatch_next, priority=-1)
+
+    wall_clock_s = 0.0
+    try:
+        if load_next():
+            schedule_at(times[0], dispatch_next, priority=-1)
+            wall_start = perf_counter()
+            sim.run_until_drained()
+            wall_clock_s = perf_counter() - wall_start
+            if not sink.all_done:
+                raise RuntimeError(f"event queue drained with "
+                                   f"{sink.completed}/{total} requests done")
+    except BaseException:
+        # a dying run must not leave a half-written trace where a whole
+        # one is expected: set it aside as <path>.partial
+        if cell.writer is not None:
+            cell.writer.abort()
+        raise
+    if cell.injector is not None:
+        cell.injector.shutdown()
+    cell.policy.shutdown()
+    return wall_clock_s
+
+
 def run_simulation(policy: Policy, fileset: FileSet, trace: Trace, *,
                    n_disks: int, disk_params: TwoSpeedDiskParams | None = None,
                    press: PRESSModel | None = None,
@@ -177,120 +349,43 @@ def run_simulation(policy: Policy, fileset: FileSet, trace: Trace, *,
     every path bit-identical to a redundancy-free run.
     """
     require(len(trace) >= 1, "trace must contain at least one request")
-    params = disk_params if disk_params is not None else _default_disk_params()
     model = press if press is not None else _default_press()
     scheme = (None if redundancy is None or not redundancy.is_redundant
               else redundancy)
     groups = (None if scheme is None
               else RedundancyGroups(scheme, n_disks))
-
-    sim = Simulator()
-    # Telemetry attaches before anything observes sim.trace: drives cache
-    # the bus at construction, policies at bind, the injector at init.
-    bus: TraceBus | None = None
-    writer: JsonlTraceWriter | None = None
-    profiler: KernelProfiler | None = None
-    if obs is not None:
-        if obs.trace_path is not None:
-            bus = TraceBus()
-            writer = JsonlTraceWriter(obs.trace_path)
-            bus.subscribe(writer)
-            sim.trace = bus
-        if obs.profile:
-            profiler = KernelProfiler()
-            sim.set_profiler(profiler)
-    array = DiskArray(sim, params, n_disks, fileset, initial_speed=initial_speed,
-                      queue_discipline=queue_discipline)
-    registry: MetricsRegistry | None = None
-    sampler: DiskSampler | None = None
-    if obs is not None and obs.wants_sampler:
-        registry = MetricsRegistry()
-        sampler = DiskSampler(sim, array, obs.effective_sample_interval_s,
-                              registry=registry)
-        sampler.install()
-    metrics = RequestMetrics(expected=len(trace), on_all_done=sim.request_stop)
-
-    policy.bind(sim, array, fileset)
-    injector: FaultInjector | None = None
-    if faults is None:
-        policy.completion_callback = metrics.on_complete
-    else:
-        injector = FaultInjector(sim, array, policy, model, faults,
-                                 on_success=metrics.on_complete,
-                                 on_permanent_failure=metrics.on_failed,
-                                 redundancy=groups)
-        injector.install()
-        policy.completion_callback = injector.on_user_job_complete
-    policy.initial_layout()
-
-    # Pre-convert the numpy columns to plain Python lists once: the
-    # dispatch callback runs for every arrival, and list indexing returns
-    # ready-made floats/ints instead of numpy scalars needing coercion.
-    times = trace.times_s.tolist()
-    ids = trace.file_ids.tolist()
-    sizes = fileset.sizes_mb.tolist()
     n = len(trace)
-    i = 0
-
-    route = policy.route
-    schedule_at = sim.schedule_at
-    new_request = Request.from_validated
-
-    def dispatch_next() -> None:
-        nonlocal i
-        fid = ids[i]
-        route(new_request(sim.now, fid, sizes[fid]))
-        i += 1
-        if i < n:
-            schedule_at(times[i], dispatch_next, priority=-1)
-
-    schedule_at(times[0], dispatch_next, priority=-1)
+    cell = _build_cell(
+        policy, fileset, n_disks=n_disks, disk_params=disk_params,
+        initial_speed=initial_speed, queue_discipline=queue_discipline,
+        obs=obs, trace_path=obs.trace_path if obs is not None else None,
+        make_sink=lambda stop: RequestMetrics(expected=n, on_all_done=stop),
+        faults=faults, press=model, groups=groups)
+    sim, array, metrics, bus = cell.sim, cell.array, cell.sink, cell.bus
+    injector, sampler, registry = cell.injector, cell.sampler, cell.registry
 
     if bus is not None:
         bus.emit(obs_events.ENGINE_START, sim.now, policy=policy.name,
                  n_disks=n_disks, n_requests=n)
-
-    # Run until every user request has completed: the metrics object
-    # stops the kernel from inside the last completion callback.
-    # Policies' periodic tasks keep the queue non-empty, so completion —
-    # not queue exhaustion — is the intended stop condition.
-    wall_start = perf_counter()
-    try:
-        sim.run_until_drained()
-        if not metrics.all_done:
-            raise RuntimeError(
-                f"event queue drained with {metrics.completed}/{n} requests done"
-            )
-    except BaseException:
-        # a dying run must not leave a half-written trace where a whole
-        # one is expected: set it aside as <path>.partial
-        if writer is not None:
-            writer.abort()
-        raise
-    wall_clock_s = perf_counter() - wall_start
-
+    wall_clock_s = _drain(cell, iter([(trace.times_s.tolist(),
+                                       trace.file_ids.tolist())]))
     duration = sim.now
-    if injector is not None:
-        injector.shutdown()
-    policy.shutdown()
     array.finalize()
-
-    timeseries = None
-    metrics_snapshot: dict[str, dict[str, object]] | None = None
     if sampler is not None:
         sampler.sample_now()  # close the series with the final state
-        sampler.shutdown()
-        timeseries = sampler.series()
-        if obs is not None and obs.metrics_path is not None:
-            write_timeseries(timeseries, obs.metrics_path)
-    if registry is not None:
-        metrics_snapshot = registry.as_dict()
     if bus is not None:
         bus.emit(obs_events.ENGINE_STOP, duration,
                  events=sim.events_executed, duration_s=duration)
-    if writer is not None:
-        writer.close()
-    profile = profiler.summary(wall_clock_s=wall_clock_s) if profiler is not None else None
+    cell.close()
+
+    timeseries = None
+    if sampler is not None:
+        timeseries = sampler.series()
+        if obs is not None and obs.metrics_path is not None:
+            write_timeseries(timeseries, obs.metrics_path)
+    metrics_snapshot = registry.as_dict() if registry is not None else None
+    profile = (cell.profiler.summary(wall_clock_s=wall_clock_s)
+               if cell.profiler is not None else None)
 
     afr, factors = model.evaluate_array(array, duration)
 
@@ -307,7 +402,7 @@ def run_simulation(policy: Policy, fileset: FileSet, trace: Trace, *,
             delay_s = (faults.repair_delay_s if faults is not None
                        else FaultConfig().repair_delay_s)
             used = max((float(m) for m in array.used_mb), default=0.0)
-            transfer = params.mode(DiskSpeed.HIGH).transfer_mb_s
+            transfer = array.params.mode(DiskSpeed.HIGH).transfer_mb_s
             rebuild_hours = max((delay_s + used / transfer) / 3600.0, 1e-3)
         ctmc: CtmcResult | None = assess_scheme(
             scheme, [f.afr_percent for f in factors],

@@ -29,12 +29,25 @@ single accounting step.  Consequences, all enforced by the test suite:
   come from a fixed log-spaced histogram (exact integer merge,
   quantized to ~0.9 % bin resolution — documented, deterministic).
 
+One cell assembly
+-----------------
+A shard is built and drained by the same two functions as an unsharded
+cell (:mod:`repro.experiments.runner`: ``_build_cell`` and ``_drain``),
+so ``n_shards=1`` equals :func:`~repro.experiments.runner.run_simulation`
+on every physical field for every policy.  Three things differ, all
+passed in as data: the arrival source (stream chunks filtered to the
+shard's files), the completion sink (constant-memory per-disk sums plus
+a fixed histogram, :class:`_ShardMetrics`), and the close step (open
+ledgers captured for the merge instead of ``DiskArray.finalize``).
+
 Policies with cross-disk coupling (MAID's cache zone, READ/PDC
 migration) still *run* sharded — each shard gets its own policy
 instance over its disk group — but that changes semantics (a per-shard
 cache zone is not a per-array cache zone), so sharding them is a
-modeling choice, not a transparent optimization.  Fault injection is
-not supported under sharding (the fault schedule is array-global).
+modeling choice, not a transparent optimization.  Fault injection,
+redundancy groups and kernel profiling are refused under sharding
+(:func:`_require_shardable`): the fault schedule and the group
+geometry are array-global, and a profile times one event loop.
 
 Telemetry under sharding (DESIGN.md Sec. 13)
 --------------------------------------------
@@ -52,15 +65,13 @@ merge ordered by ``(time, shard, seq)`` with one synthesized global
 each shard's open ledgers are advanced through the global tick instants
 it drained before (:meth:`~repro.disk.ledger.OpenDiskLedger.advance`)
 so the merged time-series and federated registry equal the unsharded
-*sampled* run bit-for-bit for shard-decomposable policies.  Kernel
-profiling stays per-kernel wall timing and is not supported under
-sharding.
+*sampled* run bit-for-bit for shard-decomposable policies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import (
     TYPE_CHECKING,
@@ -75,24 +86,21 @@ from typing import (
 
 import numpy as np
 
-from repro.disk.array import DiskArray
 from repro.disk.drive import Job, QueueDiscipline
 from repro.disk.ledger import ClosedDiskLedger, OpenDiskLedger
 from repro.disk.parameters import DiskSpeed, TwoSpeedDiskParams
 from repro.experiments.metrics import SimulationResult
 from repro.experiments.parallel import RunSpec, run_cells
 from repro.experiments.runner import (
-    _default_disk_params,
+    _build_cell,
     _default_press,
+    _drain,
     make_policy,
 )
+from repro.faults import FaultConfig
 from repro.obs import (
-    DiskSampler,
-    JsonlTraceWriter,
-    MetricsRegistry,
     ObsConfig,
     TimeSeries,
-    TraceBus,
     federate_registries,
     merge_trace_files,
     shard_segment_path,
@@ -100,11 +108,10 @@ from repro.obs import (
 )
 from repro.obs import events as obs_events
 from repro.press.model import DiskFactors, PRESSModel
-from repro.sim.engine import Simulator
+from repro.redundancy.scheme import GroupScheme
 from repro.util.units import SECONDS_PER_DAY
 from repro.util.validation import require
 from repro.workload.files import FileSet
-from repro.workload.request import Request
 from repro.workload.stream import DEFAULT_CHUNK_SIZE, WorkloadLike, open_stream
 
 if TYPE_CHECKING:
@@ -113,6 +120,7 @@ if TYPE_CHECKING:
         ResilienceSummary,
         SweepCheckpoint,
     )
+    from repro.obs import TraceBus
 
 __all__ = [
     "ShardPlan",
@@ -121,6 +129,7 @@ __all__ = [
     "run_shard_cell",
     "merge_shard_results",
     "run_sharded",
+    "run_sharded_cells",
     "N_RESPONSE_BINS",
     "response_bin",
     "response_bin_upper_s",
@@ -278,6 +287,7 @@ class ShardCellResult:
     #: Fixed-bin response histogram counts (length N_RESPONSE_BINS).
     response_hist: tuple[int, ...]
     events_executed: int
+    #: Wall-clock seconds of this shard's event-loop drain.
     wall_clock_s: float = field(compare=False, default=0.0)
     policy_detail: dict[str, object] = field(default_factory=dict)
     #: Per-shard JSONL trace segment (``None`` when tracing was off).
@@ -336,6 +346,11 @@ class _ShardMetrics:
         if self.dispatch_done and self.completed >= self.dispatched:
             self._on_all_done()
 
+    def on_exhausted(self, dispatched: int) -> None:
+        """The stream ran out after ``dispatched`` arrivals."""
+        self.dispatched = dispatched
+        self.dispatch_done = True
+
     @property
     def all_done(self) -> bool:
         return self.dispatch_done and self.completed >= self.dispatched
@@ -349,46 +364,52 @@ class _ShardMetrics:
 # ----------------------------------------------------------------------
 # the shard worker
 # ----------------------------------------------------------------------
-def run_shard_cell(spec: RunSpec) -> ShardCellResult:
-    """Simulate one shard of one cell over the streamed workload.
-
-    Mirrors :func:`repro.experiments.runner.run_simulation` — same array
-    construction, same arrival-chained dispatch, same shutdown sequence
-    — except that (a) requests come from filtered stream chunks instead
-    of a materialized trace, (b) metrics are constant-memory, and (c)
-    the drives' ledgers are captured *open* instead of finalized, so the
-    merge can close them at the global end time.
-    """
-    shard = spec.shard
-    require(shard is not None, "run_shard_cell needs a spec with shard set")
-    assert shard is not None  # for the type checker
-    require(spec.faults is None,
+def _require_shardable(faults: Optional[FaultConfig],
+                       redundancy: Optional[GroupScheme],
+                       obs: Optional[ObsConfig]) -> None:
+    """Refuse the cell features a shard cannot reproduce on its own."""
+    require(faults is None,
             "fault injection is not supported under sharding "
             "(the failure schedule is array-global: hazard budgets, "
             "degraded-mode redirects, and rebuild traffic couple disks "
             "across shard boundaries, so no shard can reproduce its "
             "slice independently; run the cell unsharded — drop "
             "--shards — to combine --faults with this workload)")
-    require(spec.redundancy is None,
+    require(redundancy is None,
             "redundancy groups are not supported under sharding "
             "(group geometry spans shard boundaries: reconstruct reads "
             "and rebuild fan-out touch disks in other shards; run the "
             "cell unsharded — drop --shards — to combine --redundancy "
             "with this workload)")
-    obs = spec.obs
     require(obs is None or not obs.profile,
             "kernel profiling is not supported under sharding "
             "(profiles are per-kernel wall timings; profile the "
             "unsharded run instead)")
+
+
+def run_shard_cell(spec: RunSpec) -> ShardCellResult:
+    """Simulate one shard of one cell over the streamed workload.
+
+    Builds and drains the shard with the same cell assembly as
+    :func:`repro.experiments.runner.run_simulation`
+    (``_build_cell``/``_drain``); three things differ: (a) arrivals come
+    from stream chunks filtered to this shard's files instead of a
+    materialized trace, (b) the completion sink is constant-memory
+    (per-disk sums + a fixed histogram), and (c) the close step captures
+    the drives' ledgers *open* instead of finalizing them, so the merge
+    can close them at the global end time.
+    """
+    shard = spec.shard
+    require(shard is not None, "run_shard_cell needs a spec with shard set")
+    assert shard is not None  # for the type checker
+    _require_shardable(spec.faults, spec.redundancy, spec.obs)
     plan = shard.plan
     require(spec.n_disks == plan.n_disks,
             f"spec.n_disks ({spec.n_disks}) != plan.n_disks ({plan.n_disks})")
 
-    wall_start = perf_counter()
     stream = open_stream(spec.workload)
     fileset = stream.fileset
-    shard_of = plan.shard_of_files(fileset)
-    mine = shard_of == shard.index
+    mine = plan.shard_of_files(fileset) == shard.index
     my_files = np.flatnonzero(mine)
     # A file-less shard can't even build its array (and policies act on
     # drives their fileset implies), so degenerate splits are rejected
@@ -405,142 +426,73 @@ def run_shard_cell(spec: RunSpec) -> ShardCellResult:
     local_id[my_files] = np.arange(my_files.size, dtype=np.int64)
     local_fileset = FileSet(fileset.sizes_mb[my_files])
 
-    params = spec.disk_params if spec.disk_params is not None else _default_disk_params()
-    tracing_on = obs is not None and obs.trace_path is not None
+    obs = spec.obs
     offset = plan.disk_offset(shard.index)
-    sim = Simulator()
-    # Telemetry attaches before the array is built (drives cache the bus
-    # at construction).  The bus remaps local ids to global at emission
-    # — disk-carrying fields shift by the shard's disk offset, file ids
-    # go through the shard's local->global file table — and tags every
-    # event with the shard index, so the segment needs no rewrite pass.
-    bus: Optional[TraceBus] = None
-    writer: Optional[JsonlTraceWriter] = None
+    # The bus remaps local ids to global at emission — disk-carrying
+    # fields shift by the shard's disk offset, file ids go through the
+    # shard's local->global file table — and tags every event with the
+    # shard index, so the segment needs no rewrite pass.
     segment: Optional[str] = None
-    if tracing_on:
-        assert obs is not None and obs.trace_path is not None
+    id_maps: Optional[dict[str, Callable[[int], int]]] = None
+    if obs is not None and obs.trace_path is not None:
+        segment = str(shard_segment_path(obs.trace_path, shard.index))
         my_files_py = my_files.tolist()
         shift: Callable[[int], int] = lambda v, _o=offset: v + _o  # noqa: E731
-        bus = TraceBus(
-            tags={"shard": shard.index},
-            id_maps={"disk": shift, "src": shift, "dst": shift,
-                     "file": lambda v, _f=my_files_py: _f[v]})
-        segment = str(shard_segment_path(obs.trace_path, shard.index))
-        writer = JsonlTraceWriter(segment)
-        bus.subscribe(writer)
-        sim.trace = bus
-    array = DiskArray(sim, params, plan.disks_per_shard, local_fileset,
-                      initial_speed=spec.initial_speed,
-                      queue_discipline=spec.queue_discipline)
-    registry: Optional[MetricsRegistry] = None
-    sampler: Optional[DiskSampler] = None
-    sample_interval: Optional[float] = None
-    if obs is not None and obs.wants_sampler:
-        sample_interval = obs.effective_sample_interval_s
-        registry = MetricsRegistry()
-        sampler = DiskSampler(sim, array, sample_interval,
-                              registry=registry, disk_offset=offset)
-        sampler.install()
-    policy = make_policy(spec.policy, **dict(spec.policy_kwargs))
-    metrics = _ShardMetrics(plan.disks_per_shard, on_all_done=sim.request_stop)
-    policy.bind(sim, array, local_fileset)
-    policy.completion_callback = metrics.on_complete
-    policy.initial_layout()
+        id_maps = {"disk": shift, "src": shift, "dst": shift,
+                   "file": lambda v, _f=my_files_py: _f[v]}
+    cell = _build_cell(
+        make_policy(spec.policy, **dict(spec.policy_kwargs)), local_fileset,
+        n_disks=plan.disks_per_shard, disk_params=spec.disk_params,
+        initial_speed=spec.initial_speed,
+        queue_discipline=spec.queue_discipline, obs=obs,
+        trace_path=segment, tags={"shard": shard.index}, id_maps=id_maps,
+        disk_offset=offset,
+        make_sink=lambda stop: _ShardMetrics(plan.disks_per_shard,
+                                             on_all_done=stop))
+    metrics: _ShardMetrics = cell.sink
 
-    # ---- streamed dispatch: hold one filtered chunk at a time --------
+    # hold one filtered chunk at a time; a shard no request ever targets
+    # drains nothing: its disks idle from t=0 to the global end, and the
+    # merge's ledger close accounts all of it
     def filtered_chunks() -> Iterator[tuple[list[float], list[int]]]:
         for chunk in stream.chunks(shard.chunk_size):
             keep = mine[chunk.file_ids]
-            if not keep.any():
-                continue
             yield (chunk.times_s[keep].tolist(),
                    local_id[chunk.file_ids[keep]].tolist())
 
-    chunk_iter = filtered_chunks()
-    sizes = local_fileset.sizes_mb.tolist()
-    route = policy.route
-    schedule_at = sim.schedule_at
-    new_request = Request.from_validated
-    times: list[float] = []
-    ids: list[int] = []
-    i = 0
-
-    def load_next() -> bool:
-        nonlocal times, ids, i
-        nxt = next(chunk_iter, None)
-        if nxt is None:
-            return False
-        times, ids = nxt
-        i = 0
-        return True
-
-    def dispatch_next() -> None:
-        nonlocal i
-        fid = ids[i]
-        metrics.dispatched += 1
-        route(new_request(sim.now, fid, sizes[fid]))
-        i += 1
-        if i >= len(times) and not load_next():
-            metrics.dispatch_done = True
-            return
-        schedule_at(times[i], dispatch_next, priority=-1)
-
-    try:
-        if load_next():
-            schedule_at(times[0], dispatch_next, priority=-1)
-            sim.run_until_drained()
-            if not metrics.all_done:
-                raise RuntimeError(
-                    f"shard {shard.index}: event queue drained with "
-                    f"{metrics.completed}/{metrics.dispatched} requests done")
-        else:
-            # a shard no request ever targets: its disks idle from t=0 to
-            # the global end; the merge's ledger close accounts all of it
-            metrics.dispatch_done = True
-    except BaseException:
-        # never leave a torn segment where the merge expects a whole one
-        if writer is not None:
-            writer.abort()
-        raise
-
-    duration = sim.now
-    policy.shutdown()
-    if sampler is not None:
-        # stop the periodic tick; deliberately NO final sample_now():
-        # the merge replays the global ticks this shard drained before
-        # and closes the series at the *global* end time
-        sampler.shutdown()
-    if writer is not None:
-        writer.close()
+    wall_clock_s = _drain(cell, filtered_chunks(), metrics.on_exhausted)
+    duration = cell.sim.now
+    # deliberately NO final sample_now(): the merge replays the global
+    # ticks this shard drained before and closes the series at the
+    # *global* end time
+    cell.close()
     # capture the ledgers OPEN (no array.finalize()): the final
     # accounting step belongs to the merge, at the global end time
-    ledgers = tuple(drive.open_ledger() for drive in array.drives)
-    final_state: tuple[tuple[str, str, int], ...] = ()
-    if sampler is not None:
-        final_state = tuple(
-            (drive.speed.name.lower(), drive.phase.value, drive.queue_length)
-            for drive in array.drives)
+    drives = cell.array.drives
+    sampler, registry, writer = cell.sampler, cell.registry, cell.writer
     resp_sum, wait_sum, counts, hist = metrics.snapshot()
     return ShardCellResult(
         shard_index=shard.index,
         plan=plan,
-        policy_name=policy.name,
+        policy_name=cell.policy.name,
         duration_s=duration,
         n_requests=metrics.completed,
-        ledgers=ledgers,
+        ledgers=tuple(drive.open_ledger() for drive in drives),
         response_sum_s=resp_sum,
         wait_sum_s=wait_sum,
         response_count=counts,
         response_hist=hist,
-        events_executed=sim.events_executed,
-        wall_clock_s=perf_counter() - wall_start,
-        policy_detail=policy.describe(),
+        events_executed=cell.sim.events_executed,
+        wall_clock_s=wall_clock_s,
+        policy_detail=cell.policy.describe(),
         trace_segment=segment,
         trace_events=writer.events_written if writer is not None else 0,
         sample_rows=sampler.series().rows if sampler is not None else (),
-        sample_interval_s=sample_interval,
+        sample_interval_s=sampler.interval_s if sampler is not None else None,
         metrics=registry.as_dict() if registry is not None else None,
-        final_disk_state=final_state,
+        final_disk_state=() if sampler is None else tuple(
+            (drive.speed.name.lower(), drive.phase.value, drive.queue_length)
+            for drive in drives),
     )
 
 
@@ -777,8 +729,63 @@ def merge_shard_results(results: Sequence[ShardCellResult],
 
 
 # ----------------------------------------------------------------------
-# the front door
+# the fan-out: one batch of shard sub-cells, one merge per cell
 # ----------------------------------------------------------------------
+def run_sharded_cells(cells: Sequence[RunSpec], *, n_shards: int,
+                      assignment: str = "affinity",
+                      chunk_size: int = DEFAULT_CHUNK_SIZE,
+                      jobs: int = 1,
+                      resilience: "Optional[ResilienceConfig]" = None,
+                      checkpoint: "Union[SweepCheckpoint, str, None]" = None,
+                      bus: "Optional[TraceBus]" = None,
+                      ) -> tuple[list[SimulationResult],
+                                 "Optional[ResilienceSummary]"]:
+    """Run every cell sharded, returning one merged result per cell.
+
+    Each cell (an ordinary :class:`RunSpec`) fans out into ``n_shards``
+    streamed sub-cells; ALL sub-cells of ALL cells go through one
+    :func:`~repro.experiments.parallel.run_cells` batch (or, with
+    ``resilience``/``checkpoint``, one
+    :func:`~repro.experiments.resilience.run_cells_resilient` batch), so
+    ``jobs`` workers, retries/timeouts, one checkpoint file and one
+    harness fault ledger cover them all, and resume granularity is one
+    shard.  The partials are then merged per cell in fixed reduction
+    order, each merge emitting a ``harness.shard.merge`` span on the
+    harness ``bus``.  The summary is ``None`` when neither
+    ``resilience`` nor ``checkpoint`` was given.
+    """
+    for cell in cells:
+        _require_shardable(cell.faults, cell.redundancy, cell.obs)
+    specs = []
+    for cell in cells:
+        plan = ShardPlan(n_disks=cell.n_disks, n_shards=n_shards,
+                         assignment=assignment)
+        specs += [replace(cell, shard=ShardCellSpec(plan, s, chunk_size))
+                  for s in range(n_shards)]
+    summary: "Optional[ResilienceSummary]" = None
+    if resilience is not None or checkpoint is not None:
+        from repro.experiments.resilience import run_cells_resilient
+
+        raw, summary = run_cells_resilient(specs, jobs=jobs, config=resilience,
+                                           checkpoint=checkpoint, bus=bus)
+    else:
+        raw = run_cells(specs, jobs=jobs)
+    partials = cast("list[ShardCellResult]", raw)
+    merged = []
+    for k, cell in enumerate(cells):
+        merge_start = perf_counter()
+        result = merge_shard_results(
+            partials[k * n_shards:(k + 1) * n_shards],
+            press=cell.press, obs=cell.obs)
+        if bus is not None:
+            # outside simulated time, like every harness event: t=0.0
+            bus.emit(obs_events.HARNESS_SHARD_MERGE, 0.0,
+                     policy=result.policy_name, n_disks=cell.n_disks,
+                     shards=n_shards, wall_s=perf_counter() - merge_start)
+        merged.append(result)
+    return merged, summary
+
+
 def run_sharded(policy: str, workload: WorkloadLike, *,
                 n_disks: int, n_shards: int,
                 assignment: str = "affinity",
@@ -796,48 +803,27 @@ def run_sharded(policy: str, workload: WorkloadLike, *,
                 ) -> tuple[SimulationResult, "Optional[ResilienceSummary]"]:
     """Run one (policy, workload) cell sharded, returning the merged result.
 
-    Fans one :class:`RunSpec` per shard over the standard cell machinery
-    — :func:`~repro.experiments.parallel.run_cells` (so ``jobs`` workers,
+    The one-cell form of :func:`run_sharded_cells`: ``jobs`` workers,
     checkpointing, retries/timeouts via ``resilience`` all apply
-    per-shard) — and merges.  Returns ``(SimulationResult,
-    ResilienceSummary | None)``; the summary is ``None`` when neither
-    ``resilience`` nor ``checkpoint`` was given.
+    per-shard.  Returns ``(SimulationResult, ResilienceSummary |
+    None)``; the summary is ``None`` when neither ``resilience`` nor
+    ``checkpoint`` was given.
 
     ``obs`` rides into every shard sub-cell (per-shard trace segments,
     samplers, registries — see the module docstring) and names the
     merged artifact paths; ``bus`` is the *harness* bus, which receives
     a ``harness.shard.merge`` span when the partials are reduced.
     """
-    plan = ShardPlan(n_disks=n_disks, n_shards=n_shards, assignment=assignment)
-    require(obs is None or not obs.profile,
-            "kernel profiling is not supported under sharding "
-            "(profiles are per-kernel wall timings; profile the "
-            "unsharded run instead)")
-    base_kwargs: dict[str, object] = dict(policy_kwargs) if policy_kwargs else {}
-    speed = initial_speed if initial_speed is not None else DiskSpeed.HIGH
-    discipline = (queue_discipline if queue_discipline is not None
-                  else QueueDiscipline.FCFS)
-    specs = [
-        RunSpec(policy=policy, n_disks=n_disks, workload=workload,
-                policy_kwargs=base_kwargs, disk_params=disk_params,
-                press=press, initial_speed=speed, queue_discipline=discipline,
-                obs=obs, shard=ShardCellSpec(plan, s, chunk_size))
-        for s in range(plan.n_shards)
-    ]
-    summary: "Optional[ResilienceSummary]" = None
-    if resilience is not None or checkpoint is not None:
-        from repro.experiments.resilience import run_cells_resilient
-
-        raw, summary = run_cells_resilient(specs, jobs=jobs, config=resilience,
-                                           checkpoint=checkpoint, bus=bus)
-    else:
-        raw = run_cells(specs, jobs=jobs)
-    shard_results = cast("list[ShardCellResult]", raw)
-    merge_start = perf_counter()
-    merged = merge_shard_results(shard_results, press=press, obs=obs)
-    if bus is not None:
-        # outside simulated time, like every harness event: t=0.0
-        bus.emit(obs_events.HARNESS_SHARD_MERGE, 0.0,
-                 policy=merged.policy_name, n_disks=n_disks, shards=n_shards,
-                 wall_s=perf_counter() - merge_start)
-    return merged, summary
+    cell = RunSpec(
+        policy=policy, n_disks=n_disks, workload=workload,
+        policy_kwargs=dict(policy_kwargs) if policy_kwargs else {},
+        disk_params=disk_params, press=press,
+        initial_speed=initial_speed if initial_speed is not None else DiskSpeed.HIGH,
+        queue_discipline=(queue_discipline if queue_discipline is not None
+                          else QueueDiscipline.FCFS),
+        obs=obs)
+    merged, summary = run_sharded_cells(
+        [cell], n_shards=n_shards, assignment=assignment,
+        chunk_size=chunk_size, jobs=jobs, resilience=resilience,
+        checkpoint=checkpoint, bus=bus)
+    return merged[0], summary

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.parallel import RunSpec, run_cell
-from repro.experiments.runner import make_policy, run_simulation
+from repro.experiments.runner import _POLICY_REGISTRY, make_policy, run_simulation
 from repro.experiments.shard import (
     N_RESPONSE_BINS,
     ShardCellSpec,
@@ -124,12 +124,15 @@ class TestShardedEqualsUnsharded:
                     f"{f} diverged at n_shards={n_shards}"
             assert _strip_sharding(sharded) == _strip_sharding(base)
 
-    def test_single_shard_matches_plain_runner_physically(self):
+    @pytest.mark.parametrize("policy", sorted(_POLICY_REGISTRY))
+    def test_single_shard_matches_plain_runner_physically(self, policy):
+        # one shard is the whole array: the shared cell assembly must
+        # reproduce the plain runner for every policy, cross-disk
+        # migration and cache zones included
         fileset, trace = cached_generate(CFG)
-        plain = run_simulation(make_policy("static-high"), fileset, trace,
+        plain = run_simulation(make_policy(policy), fileset, trace,
                                n_disks=6)
-        sharded, summary = run_sharded("static-high", CFG, n_disks=6,
-                                       n_shards=1)
+        sharded, summary = run_sharded(policy, CFG, n_disks=6, n_shards=1)
         assert summary is None
         for f in PHYSICAL_FIELDS:
             assert getattr(sharded, f) == getattr(plain, f), f
@@ -166,15 +169,46 @@ class TestShardedEqualsUnsharded:
 
 
 class TestShardCellMechanics:
-    def test_fault_injection_rejected(self):
+    @pytest.mark.parametrize("feature", ["faults", "redundancy", "profile"])
+    def test_fault_injection_rejected(self, feature):
         from repro.faults import FaultConfig
+        from repro.obs import ObsConfig
+        from repro.redundancy import parse_redundancy_spec
 
+        refused = {
+            "faults": ({"faults": FaultConfig(seed=1)}, "fault injection"),
+            "redundancy": ({"redundancy": parse_redundancy_spec("mirror2")},
+                           "redundancy groups"),
+            "profile": ({"obs": ObsConfig(profile=True)}, "profiling"),
+        }
+        fields, message = refused[feature]
         plan = ShardPlan(n_disks=4, n_shards=2)
         spec = RunSpec(policy="static-high", n_disks=4, workload=CFG,
-                       faults=FaultConfig(seed=1),
-                       shard=ShardCellSpec(plan, 0))
-        with pytest.raises(ValueError, match="fault injection"):
+                       shard=ShardCellSpec(plan, 0), **fields)
+        with pytest.raises(ValueError, match=message):
             run_cell(spec)
+
+    def test_wall_clock_times_the_drain_only(self, monkeypatch):
+        # a shard's wall_clock_s is its event-loop drain, like the plain
+        # runner's: workload set-up before the drain is not in it
+        import time
+
+        import repro.experiments.shard as shard_module
+
+        opened = shard_module.open_stream
+
+        def slow_open_stream(workload):
+            time.sleep(0.3)
+            return opened(workload)
+
+        monkeypatch.setattr(shard_module, "open_stream", slow_open_stream)
+        tiny = SyntheticWorkloadConfig(n_files=20, n_requests=50, seed=3,
+                                       mean_interarrival_s=0.01)
+        plan = ShardPlan(n_disks=2, n_shards=2)
+        result = run_cell(RunSpec(policy="static-high", n_disks=2,
+                                  workload=tiny, shard=ShardCellSpec(plan, 0)))
+        assert result.n_requests > 0
+        assert 0.0 < result.wall_clock_s < 0.3
 
     def test_plan_mismatch_rejected(self):
         plan = ShardPlan(n_disks=8, n_shards=2)
