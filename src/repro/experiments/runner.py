@@ -310,6 +310,10 @@ def _drain(cell: _Cell, chunks: Iterator[_Chunk],
         if cell.writer is not None:
             cell.writer.abort()
         raise
+    finally:
+        # dispatch_next reschedules itself, so its closure is a cycle that
+        # only a full GC pass frees: drop the arrival lists now
+        times, ids = [], []
     if cell.injector is not None:
         cell.injector.shutdown()
     cell.policy.shutdown()

@@ -16,10 +16,13 @@ continuous-time Markov chain:
 
 MTTDL is the expected absorption time from the all-up state, obtained
 from the transient generator ``Q_T`` by solving ``-Q_T t = 1`` —
-exact, no simulation.  ``P(loss within mission)`` integrates the same
-chain by uniformization (Poisson-weighted powers of the discretized
-chain, interval-split so the weights never underflow), pure numpy and
-deterministic.
+exact, no simulation.  ``P(loss within mission)`` is the absorbed mass
+of the same chain: one ``scipy.linalg.expm`` of the full generator
+(``Q_T`` plus the absorbing loss column) times the mission, read at
+``[all-up, loss]``.  Reading the absorbed mass directly, instead of
+``1 - survival``, keeps tiny probabilities accurate in the stiff regime
+(rebuild rate ``mu`` many orders above ``lambda``) that accelerated
+fault runs produce.
 
 The rates are *physical*: ``lambda`` comes from
 :func:`repro.press.hazard.annual_failure_rate_to_rate` on PRESS's
@@ -43,6 +46,7 @@ from typing import Sequence
 
 import numpy as np
 import numpy.typing as npt
+from scipy.linalg import expm
 
 from repro.press.hazard import annual_failure_rate_to_rate
 from repro.redundancy.groups import RedundancyGroups
@@ -54,14 +58,6 @@ __all__ = ["CtmcResult", "HOURS_PER_YEAR", "assess_scheme",
            "loss_probability", "mirror_mttdl_closed_form", "mttdl_years"]
 
 HOURS_PER_YEAR: float = SECONDS_PER_YEAR / 3600.0
-
-#: Uniformization interval splitting: each sub-interval carries at most
-#: this much integrated uniformized rate, so ``exp(-rate * dt)`` stays
-#: far from underflow and the Poisson tail truncates after ~90 terms.
-_MAX_RATE_DT = 30.0
-#: Poisson tail weight below which the term series is truncated.
-_TAIL_EPS = 1e-16
-
 
 def _transient_generator(unit_size: int, tolerance: int, lam: float,
                          mu: float) -> npt.NDArray[np.float64]:
@@ -102,42 +98,21 @@ def mttdl_years(unit_size: int, tolerance: int, lam: float,
 
 def loss_probability(unit_size: int, tolerance: int, lam: float, mu: float,
                      years: float) -> float:
-    """P(one unit loses data within ``years``), by uniformization.
+    """P(one unit loses data within ``years``), from the all-up state.
 
-    Splits the horizon so each sub-interval's uniformized rate mass is
-    at most :data:`_MAX_RATE_DT`; within a sub-interval the transition
-    operator ``exp(Q_T dt)`` is applied to the state distribution as a
-    Poisson-weighted sum of powers of the substochastic DTMC
-    ``I + Q_T / rate``.  Pure numpy, deterministic, no underflow for
-    any realistic (lam, mu, mission) combination.
+    Extends ``Q_T`` with the absorbing loss state (entered from state
+    ``tolerance`` at rate ``(unit_size - tolerance) * lam``) and returns
+    the absorbed mass ``expm(Q * years)[0, -1]``, clamped to [0, 1].
     """
     require(years >= 0.0, f"years must be >= 0, got {years}")
     require(lam >= 0.0, f"lam must be >= 0, got {lam}")
     require(mu >= 0.0, f"mu must be >= 0, got {mu}")
     if lam <= 0.0 or years <= 0.0:
         return 0.0
-    q = _transient_generator(unit_size, tolerance, lam, mu)
-    rate = float(np.max(-np.diag(q)))
-    dtmc = np.eye(tolerance + 1, dtype=np.float64) + q / rate
-    state = np.zeros(tolerance + 1, dtype=np.float64)
-    state[0] = 1.0
-    n_steps = max(1, math.ceil(rate * years / _MAX_RATE_DT))
-    rate_dt = rate * (years / n_steps)
-    for _ in range(n_steps):
-        weight = math.exp(-rate_dt)
-        power = state
-        acc = weight * power
-        m = 1
-        while True:
-            power = power @ dtmc
-            weight *= rate_dt / m
-            acc = acc + weight * power
-            if m >= rate_dt and weight < _TAIL_EPS:
-                break
-            m += 1
-        state = acc
-    survival = float(np.sum(state))
-    return min(1.0, max(0.0, 1.0 - survival))
+    q = np.pad(_transient_generator(unit_size, tolerance, lam, mu), (0, 1))
+    q[tolerance, -1] = (unit_size - tolerance) * lam
+    absorbed = float(expm(q * years)[0, -1])
+    return min(1.0, max(0.0, absorbed))
 
 
 def mirror_mttdl_closed_form(lam: float, mu: float) -> float:
@@ -279,6 +254,6 @@ def assess_scheme(scheme: GroupScheme,
         mttdl_unit_years=worst_mttdl,
         mttdl_array_years=(math.inf if hazard_sum <= 0.0 else 1.0 / hazard_sum),
         p_loss_unit=worst_p,
-        p_loss_array=min(1.0, max(0.0, 1.0 - math.exp(log_survival))),
+        p_loss_array=min(1.0, max(0.0, -math.expm1(log_survival))),
         mission_years=mission_years,
     )

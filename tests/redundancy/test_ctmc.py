@@ -8,6 +8,11 @@ must reproduce Gibson's closed-form RAID-1 MTTDL
 solver, and the rate conventions all at once.  Where the two *models*
 diverge (max-AFR vs CTMC) is documented in DESIGN.md section 14 and
 pinned by ``test_none_degenerates_to_per_disk_rate``.
+
+Mission loss probability is pinned the same way: exactly against the
+mirror's two-exponential absorption law, and against ``t / MTTDL`` in
+the stiff rare-event regime (rebuild rate up to 1e7 times the failure
+rate) that accelerated fault runs put the chain in.
 """
 
 import math
@@ -31,6 +36,53 @@ from repro.redundancy.scheme import SCHEME_PRESETS, mirror_scheme
 #: weeks.
 LAMBDAS = st.floats(min_value=1e-3, max_value=1.0)
 MUS = st.floats(min_value=HOURS_PER_YEAR / (14 * 24), max_value=HOURS_PER_YEAR / 0.33)
+
+
+def _mttdl_by_hitting_times(unit_size, tolerance, lam, mu):
+    """Birth-death MTTDL as a sum of positive terms, a reference for the CTMC.
+
+    ``h_k``, the expected time to first reach ``k + 1`` failures from
+    ``k``, obeys ``h_k = (1 + k mu h_{k-1}) / ((n - k) lam)``, and the
+    MTTDL is ``sum(h_k)``.  Nothing is subtracted, so it stays accurate
+    at any ``mu / lam`` (a dense solve of the generator does not: its
+    conditioning grows like ``(mu / lam) ** tolerance``).
+    """
+    h = total = 0.0
+    for k in range(tolerance + 1):
+        h = (1.0 + k * mu * h) / ((unit_size - k) * lam)
+        total += h
+    return total
+
+
+def _mirror_loss_closed_form(lam, mu, years):
+    """Exact P(loss by ``years``) of a 2-way mirror from both-up.
+
+    The absorption time is a two-phase law: survival is
+    ``(r2 e^{-r1 t} - r1 e^{-r2 t}) / (r2 - r1)``, where ``r1 < r2``
+    are the roots of ``s^2 - (3 lam + mu) s + 2 lam^2``.
+    """
+    a, b = 3.0 * lam + mu, 2.0 * lam * lam
+    r2 = 0.5 * (a + math.sqrt(a * a - 4.0 * b))
+    r1 = b / r2
+    return ((r1 * math.expm1(-r2 * years) - r2 * math.expm1(-r1 * years))
+            / (r2 - r1))
+
+
+@st.composite
+def stiff_rare_chains(draw):
+    """``(unit_size, tolerance, lam, mu, years)`` in the stiff rare-event regime.
+
+    ``mu / lam`` spans 1e5-1e7 and missions 0.1-10 y, with ``lam * t <=
+    0.1`` (loss is rare) and ``mu * t >= 1e4``.  The second bound keeps
+    the rebuild transient, which puts ``t / MTTDL`` off by about
+    ``1.5 / (mu * t)`` of itself, below 1.5e-4.
+    """
+    unit_size, tolerance = draw(st.sampled_from([(2, 1), (3, 2), (8, 2)]))
+    years = draw(st.floats(min_value=0.1, max_value=10.0))
+    log_ratio = draw(st.floats(min_value=5.0, max_value=7.0))
+    log_lam_t = draw(st.floats(min_value=4.0 - log_ratio, max_value=-1.0))
+    lam = 10.0 ** log_lam_t / years
+    return unit_size, tolerance, lam, lam * 10.0 ** log_ratio, years
 
 
 class TestMirrorClosedForm:
@@ -92,12 +144,34 @@ class TestLossProbability:
         assert loss_probability(2, 1, lam, mu, 2.0 * years) >= p - 1e-12
 
     def test_matches_exponential_approximation_when_rare(self):
-        # for MTTDL >> mission, P(loss) ~ T / MTTDL
+        # for MTTDL >> mission, P(loss) ~ T / MTTDL; what is left is the
+        # rebuild transient, ~1 / (mu * T) = 1.4e-3 of P at this point
         lam = annual_failure_rate_to_rate(10.5)
         mu = HOURS_PER_YEAR / 12.0
         mttdl = mttdl_years(2, 1, lam, mu)
         p = loss_probability(2, 1, lam, mu, 1.0)
-        assert p == pytest.approx(1.0 / mttdl, rel=5e-2)
+        assert p == pytest.approx(1.0 / mttdl, rel=2e-3)
+
+    @given(lam=LAMBDAS, mu=MUS, years=st.floats(min_value=0.1, max_value=10.0))
+    @settings(max_examples=100, deadline=None)
+    def test_mirror_matches_two_phase_closed_form(self, lam, mu, years):
+        assert loss_probability(2, 1, lam, mu, years) == pytest.approx(
+            _mirror_loss_closed_form(lam, mu, years), rel=1e-9)
+
+    @given(chain=stiff_rare_chains())
+    @settings(max_examples=100, deadline=None)
+    def test_stiff_rare_loss_is_mission_over_mttdl(self, chain):
+        unit_size, tolerance, lam, mu, years = chain
+        mttdl = _mttdl_by_hitting_times(unit_size, tolerance, lam, mu)
+        assert loss_probability(unit_size, tolerance, lam, mu, years) == \
+            pytest.approx(-math.expm1(-years / mttdl), rel=1e-3)
+
+    def test_stiff_triple_mirror_point(self):
+        # mu / lam = 1e6 over ten years: absorbed mass, not 1 - survival
+        p = loss_probability(3, 2, 0.1, 1e5, 10.0)
+        assert p == pytest.approx(3.0e-12, rel=1e-3)
+        assert p == pytest.approx(
+            -math.expm1(-10.0 / mttdl_years(3, 2, 0.1, 1e5)), rel=1e-3)
 
     def test_zero_horizon_and_zero_rate(self):
         assert loss_probability(2, 1, 0.5, 100.0, 0.0) == 0.0
