@@ -41,7 +41,8 @@ class RequestMetrics:
         self._waits = np.empty(expected, dtype=np.float64)
         self._count = 0
         self._failed = 0
-        self._on_all_done = on_all_done
+        #: Called once every request terminated (``None``: nothing to call).
+        self.on_all_done = on_all_done
 
     # ------------------------------------------------------------------
     def on_complete(self, job: Job) -> None:
@@ -55,8 +56,8 @@ class RequestMetrics:
         self._response_times[count] = req.completion_time - req.arrival_time
         self._waits[count] = req.service_start - req.arrival_time
         self._count = count + 1
-        if count + 1 + self._failed >= self._expected and self._on_all_done is not None:
-            self._on_all_done()
+        if count + 1 + self._failed >= self._expected and self.on_all_done is not None:
+            self.on_all_done()
 
     def on_failed(self, job: Job) -> None:
         """A user request was failed permanently (fault injection).
@@ -70,8 +71,8 @@ class RequestMetrics:
         if self._count + self._failed >= self._expected:
             raise ValueError("more terminations than expected requests")
         self._failed += 1
-        if self._count + self._failed >= self._expected and self._on_all_done is not None:
-            self._on_all_done()
+        if self._count + self._failed >= self._expected and self.on_all_done is not None:
+            self.on_all_done()
 
     # ------------------------------------------------------------------
     @property

@@ -165,7 +165,8 @@ class _Cell:
     policy: Policy
     #: The completion sink: ``RequestMetrics`` (unsharded) or the shard's
     #: constant-memory sums.  It owns the stop condition (``all_done``,
-    #: calling ``sim.request_stop`` from the last completion).
+    #: calling its ``on_all_done``, ``sim.request_stop``, from the last
+    #: completion).
     sink: Any
     bus: TraceBus | None
     writer: JsonlTraceWriter | None
@@ -175,11 +176,23 @@ class _Cell:
     injector: FaultInjector | None
 
     def close(self) -> None:
-        """Stop sampling and publish the trace (after the caller's close step)."""
+        """Stop sampling, publish the trace (after the caller's close
+        step), and break the cell's reference cycles.
+
+        The kernel runs no further, so its pending events, the policy's
+        drive hooks and completion callback, and the sink's stop
+        callback are dropped: the finished cell is then freed by
+        reference counting, not left for a full GC pass.
+        """
         if self.sampler is not None:
             self.sampler.shutdown()
         if self.writer is not None:
             self.writer.close()
+        self.sim.discard_pending()
+        self.array.set_idle_handler(None)
+        self.array.set_busy_handler(None)
+        self.policy.completion_callback = None
+        self.sink.on_all_done = None
 
 
 def _build_cell(policy: Policy, fileset: FileSet, *, n_disks: int,
@@ -311,9 +324,10 @@ def _drain(cell: _Cell, chunks: Iterator[_Chunk],
             cell.writer.abort()
         raise
     finally:
-        # dispatch_next reschedules itself, so its closure is a cycle that
-        # only a full GC pass frees: drop the arrival lists now
-        times, ids = [], []
+        # dispatch_next names itself, so its closure is a cycle that only
+        # a full GC pass frees: clear that cell, and reference counting
+        # frees both closures and the arrival lists they hold
+        del dispatch_next
     if cell.injector is not None:
         cell.injector.shutdown()
     cell.policy.shutdown()

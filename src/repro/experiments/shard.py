@@ -330,7 +330,8 @@ class _ShardMetrics:
         self.completed = 0
         self.dispatched = 0
         self.dispatch_done = False
-        self._on_all_done = on_all_done
+        #: Called once the run is done (``None``: nothing to call).
+        self.on_all_done: Optional[Callable[[], None]] = on_all_done
 
     def on_complete(self, job: Job) -> None:
         req = job.request
@@ -343,8 +344,9 @@ class _ShardMetrics:
         self._count[disk] += 1
         self._hist[response_bin(response)] += 1
         self.completed += 1
-        if self.dispatch_done and self.completed >= self.dispatched:
-            self._on_all_done()
+        if (self.dispatch_done and self.completed >= self.dispatched
+                and self.on_all_done is not None):
+            self.on_all_done()
 
     def on_exhausted(self, dispatched: int) -> None:
         """The stream ran out after ``dispatched`` arrivals."""

@@ -184,7 +184,9 @@ class FaultInjector:
             self._schedule_outage(domain)
 
     def shutdown(self) -> None:
-        """Stop ticks and cancel pending failure/rebuild/outage events."""
+        """Stop ticks, cancel pending failure/rebuild/outage events, and
+        detach from the policy."""
+        self._policy.fault_domain = None
         if self._refresh_task is not None:
             self._refresh_task.stop()
             self._refresh_task = None

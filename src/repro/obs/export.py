@@ -5,6 +5,11 @@ of the simulation's seeded state — no wall-clock timestamps, no object
 ids, keys sorted, floats via ``repr`` (shortest round-trip) — so two
 runs of the same configuration produce byte-identical files.  The
 acceptance tests diff whole files on this guarantee.
+
+One encoder, :func:`record_line`, writes every trace line: the live
+writer (via :func:`event_to_json`) and the shard merge
+(:func:`repro.obs.federate.merge_trace_files`) both call it, so a merged
+trace is byte-identical to a directly written one by construction.
 """
 
 from __future__ import annotations
@@ -13,8 +18,10 @@ import csv
 import io
 import json
 import os
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Union
 
 from repro.obs.events import TraceEvent
 from repro.util.atomicio import PARTIAL_SUFFIX, atomic_write_text
@@ -23,22 +30,92 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.sampler import TimeSeries
 
-__all__ = ["JsonlTraceWriter", "event_to_json", "read_trace",
+__all__ = ["JsonlTraceWriter", "event_to_json", "record_line", "read_trace",
            "write_timeseries", "timeseries_to_csv_text", "write_metrics_json"]
 
 PathLike = Union[str, Path]
 
 
-def event_to_json(event: TraceEvent) -> str:
-    """One event as a canonical single-line JSON record.
+#: The one JSON encoder of trace lines: compact separators, NaN/Infinity
+#: allowed, ASCII-escaped strings.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=True)
 
-    ``seq``/``t``/``type`` lead, payload fields follow sorted — compact
-    separators, no whitespace variance, deterministic bytes.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+#: ``type(value)`` -> its JSON text, exactly as :data:`_ENCODER` writes
+#: it; any other type (subclasses, containers) goes through the encoder.
+_SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
+    int: int.__repr__,
+    float: _float_text,
+    str: encode_basestring_ascii,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _value: "null",
+}
+
+#: A line's ``%``-template and the getter of its payload values in
+#: sorted key order.
+_Template = tuple[str, Callable[[Mapping[str, object]], tuple[Any, ...]]]
+
+#: ``(type, *payload keys)`` -> its template; bounded, since the key
+#: sets of the registered events are few.
+_TEMPLATES: dict[tuple[str, ...], _Template] = {}
+_MAX_TEMPLATES = 1024
+_LEAD_KEYS = frozenset({"seq", "t", "type"})
+
+
+def _template(type_: str, keys: tuple[str, ...]) -> _Template:
+    order = sorted(keys)
+
+    def literal(name: str) -> str:
+        return encode_basestring_ascii(name).replace("%", "%%")
+
+    text = ('{"seq":%s,"t":%s,"type":' + literal(type_)
+            + "".join(f",{literal(k)}:%s" for k in order) + "}")
+    # itemgetter returns a bare value for one key; a 0/1-key payload's
+    # values are already in sorted order
+    values = itemgetter(*order) if len(order) > 1 else (
+        lambda payload: tuple(payload.values()))
+    return text, values
+
+
+def record_line(seq: int, time_s: float, type_: str,
+                payload: Mapping[str, object]) -> str:
+    """One canonical single-line JSON trace record.
+
+    ``seq``/``t``/``type`` lead, payload fields follow sorted — the
+    bytes of ``json.dumps`` of that dict with compact separators and
+    ``allow_nan=True``.  The key order and a ``%``-template are cached
+    per ``(type, payload keys)``; scalars are formatted as ``json``
+    formats them, and any other value goes through the same encoder.
     """
-    record = {"seq": event.seq, "t": event.time, "type": event.type}
-    for key in sorted(event.data):
-        record[key] = event.data[key]
-    return json.dumps(record, separators=(",", ":"), allow_nan=True)
+    key = (type_, *payload)
+    entry = _TEMPLATES.get(key)
+    if entry is None:
+        if not _LEAD_KEYS.isdisjoint(payload):
+            # a payload key overrides a lead field, as in the dict
+            record: dict[str, object] = {"seq": seq, "t": time_s,
+                                         "type": type_}
+            for name in sorted(payload):
+                record[name] = payload[name]
+            return _ENCODER.encode(record)
+        entry = _template(type_, key[1:])
+        if len(_TEMPLATES) < _MAX_TEMPLATES:
+            _TEMPLATES[key] = entry
+    text, values = entry
+    scalar, fallback = _SCALAR_TEXT.get, _ENCODER.encode
+    return text % tuple([scalar(type(v), fallback)(v)
+                         for v in (seq, time_s, *values(payload))])
+
+
+def event_to_json(event: TraceEvent) -> str:
+    """One event as a canonical single-line JSON record (:func:`record_line`)."""
+    return record_line(*event)
 
 
 class JsonlTraceWriter:
@@ -73,8 +150,7 @@ class JsonlTraceWriter:
         """The subscriber interface: serialize and buffer one event."""
         if self._file is None:
             raise ValueError(f"trace writer for {self.path} is closed")
-        self._file.write(event_to_json(event))
-        self._file.write("\n")
+        self._file.write(event_to_json(event) + "\n")
         self.events_written += 1
 
     def close(self) -> None:

@@ -18,7 +18,10 @@ the single-run shape every downstream consumer expects:
     across ``--jobs`` values, and across shard counts whenever the
     event *timestamps* are shard-count-invariant (true for disk-local
     policies; cross-shard ties fall back to shard order, which is
-    global-disk-group order).
+    global-disk-group order).  Each segment line is decoded once by the
+    C-backed decoder and re-encoded by the writer's own encoder,
+    :func:`repro.obs.export.record_line`, so the merged lines are the
+    lines a direct writer would have produced.
 
 :func:`federate_registries`
     Typed merge of registry snapshots (``as_dict()`` shapes): counters
@@ -42,6 +45,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
+from repro.obs.export import record_line
 from repro.util.validation import require
 
 __all__ = [
@@ -57,6 +61,9 @@ PathLike = Union[str, Path]
 #: merge assigns its global ``seq``; the payload is emitted key-sorted.
 SynthesizedEvent = tuple[str, float, dict]
 
+#: The C-backed JSON decoder; each segment line is decoded once.
+_decode = json.JSONDecoder().raw_decode
+
 
 def shard_segment_path(trace_path: PathLike, shard_index: int) -> Path:
     """Per-shard segment path for one cell's trace output.
@@ -70,22 +77,10 @@ def shard_segment_path(trace_path: PathLike, shard_index: int) -> Path:
     return p.with_name(f"{p.stem}.shard{shard_index:04d}{p.suffix}")
 
 
-def _record_line(seq: int, time_s: float, type_: str,
-                 payload: Mapping[str, object]) -> str:
-    """Canonical single-line record: seq/t/type lead, payload sorted.
-
-    Mirrors :func:`repro.obs.export.event_to_json` byte-for-byte so a
-    merged trace is indistinguishable from a directly-written one.
-    """
-    record: dict[str, object] = {"seq": seq, "t": time_s, "type": type_}
-    for key in sorted(payload):
-        record[key] = payload[key]
-    return json.dumps(record, separators=(",", ":"), allow_nan=True)
-
-
 def _segment_records(path: Path, fallback_shard: int,
-                     ) -> Iterator[tuple[tuple[float, int, int], dict]]:
-    """Yield ``((t, shard, seq), record)`` for one segment, in file order.
+                     ) -> Iterator[tuple[tuple[float, int, int], object, str, dict]]:
+    """Yield ``((t, shard, seq), t, type, payload)`` for one segment, in
+    file order; ``payload`` is the decoded record less those fields.
 
     Within a segment, records are already sorted by ``(t, seq)`` — the
     bus assigns ``seq`` in kernel dispatch order — and the shard tag is
@@ -97,17 +92,21 @@ def _segment_records(path: Path, fallback_shard: int,
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                record, end = _decode(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(
                     f"{path}:{lineno}: not a JSON trace record: {exc}") from exc
+            if end != len(line):
+                raise ValueError(
+                    f"{path}:{lineno}: not a JSON trace record: "
+                    f"trailing data at column {end + 1}")
             if not isinstance(record, dict) or "type" not in record:
                 raise ValueError(
                     f"{path}:{lineno}: trace record missing 'type' field")
-            key = (float(record["t"]),
-                   int(record.get("shard", fallback_shard)),
-                   int(record.get("seq", 0)))
-            yield key, record
+            t = record.pop("t")
+            key = (float(t), int(record.pop("shard", fallback_shard)),
+                   int(record.pop("seq", 0)))
+            yield key, t, record.pop("type"), record
 
 
 def merge_trace_files(segments: Sequence[PathLike], out_path: PathLike, *,
@@ -135,20 +134,17 @@ def merge_trace_files(segments: Sequence[PathLike], out_path: PathLike, *,
     merged = 0
     try:
         with tmp.open("w", encoding="utf-8", newline="\n") as fh:  # repro: allow[IO001] streams to a .tmp sibling; published whole via os.replace below
+            write = fh.write
             for type_, time_s, payload in lead:
-                fh.write(_record_line(seq, time_s, type_, payload))
-                fh.write("\n")
+                write(record_line(seq, time_s, type_, payload) + "\n")
                 seq += 1
-            for _key, record in heapq.merge(*runs, key=itemgetter(0)):
-                payload = {k: v for k, v in record.items()
-                           if k not in ("seq", "t", "type", "shard")}
-                fh.write(_record_line(seq, record["t"], record["type"], payload))
-                fh.write("\n")
+            for _key, time_s, type_, payload in heapq.merge(
+                    *runs, key=itemgetter(0)):
+                write(record_line(seq, time_s, type_, payload) + "\n")
                 seq += 1
                 merged += 1
             for type_, time_s, payload in tail:
-                fh.write(_record_line(seq, time_s, type_, payload))
-                fh.write("\n")
+                write(record_line(seq, time_s, type_, payload) + "\n")
                 seq += 1
     except BaseException:
         tmp.unlink(missing_ok=True)

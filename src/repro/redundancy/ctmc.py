@@ -14,11 +14,16 @@ continuous-time Markov chain:
   rebuilds at the measured rebuild rate, repairs proceed in parallel);
 * state ``tolerance + 1`` is absorbing data loss.
 
-MTTDL is the expected absorption time from the all-up state, obtained
-from the transient generator ``Q_T`` by solving ``-Q_T t = 1`` —
-exact, no simulation.  ``P(loss within mission)`` is the absorbed mass
-of the same chain: one ``scipy.linalg.expm`` of the full generator
-(``Q_T`` plus the absorbing loss column) times the mission, read at
+MTTDL is the expected absorption time from the all-up state, summed
+from the chain's hitting times: ``h_k``, the expected time to first
+reach ``k + 1`` members down from ``k``, obeys
+``h_k = (1 + k*mu*h_{k-1}) / ((n - k)*lambda)``, and MTTDL is
+``sum(h_k)`` — exact, no simulation, and every term positive, so it
+stays accurate at any ``mu / lambda`` (a dense solve of ``-Q_T t = 1``
+does not: its conditioning grows like ``(mu / lambda) ** tolerance``).
+``P(loss within mission)`` is the absorbed mass of the same chain: one
+``scipy.linalg.expm`` of the full generator (the transient generator
+``Q_T`` plus the absorbing loss column) times the mission, read at
 ``[all-up, loss]``.  Reading the absorbed mass directly, instead of
 ``1 - survival``, keeps tiny probabilities accurate in the stiff regime
 (rebuild rate ``mu`` many orders above ``lambda``) that accelerated
@@ -63,8 +68,7 @@ def _transient_generator(unit_size: int, tolerance: int, lam: float,
                          mu: float) -> npt.NDArray[np.float64]:
     """Generator restricted to the transient states ``0..tolerance``.
 
-    Diagonal entries include the outflow into the absorbing loss state,
-    so ``-Q_T @ t = 1`` yields expected absorption times directly.
+    Diagonal entries include the outflow into the absorbing loss state.
     """
     dim = tolerance + 1
     q = np.zeros((dim, dim), dtype=np.float64)
@@ -83,6 +87,7 @@ def mttdl_years(unit_size: int, tolerance: int, lam: float,
 
     ``lam``/``mu`` are per-member failure / per-repair rates in events
     per year.  ``lam == 0`` yields ``inf`` (nothing ever fails).
+    Computed as the sum of the hitting times ``h_k`` (module docstring).
     """
     require(1 <= unit_size, f"unit_size must be >= 1, got {unit_size}")
     require(0 <= tolerance < unit_size,
@@ -91,9 +96,11 @@ def mttdl_years(unit_size: int, tolerance: int, lam: float,
     require(mu >= 0.0, f"mu must be >= 0, got {mu}")
     if lam <= 0.0:
         return math.inf
-    q = _transient_generator(unit_size, tolerance, lam, mu)
-    times = np.linalg.solve(-q, np.ones(tolerance + 1, dtype=np.float64))
-    return float(times[0])
+    h = total = 0.0
+    for k in range(tolerance + 1):
+        h = (1.0 + k * mu * h) / ((unit_size - k) * lam)
+        total += h
+    return total
 
 
 def loss_probability(unit_size: int, tolerance: int, lam: float, mu: float,

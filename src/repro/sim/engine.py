@@ -240,6 +240,18 @@ class Simulator:
             handle.action = None  # break reference cycles early
             self._live -= 1
 
+    def discard_pending(self) -> None:
+        """Drop every pending event unfired, with the action it holds.
+
+        For a finished run: queued actions (periodic ticks, timers) are
+        bound to model objects that hold this simulator, so a non-empty
+        queue keeps the whole model in reference cycles.
+        """
+        for entry in self._heap:
+            entry[3].action = None
+        self._heap.clear()
+        self._live = 0
+
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------

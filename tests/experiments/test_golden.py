@@ -178,7 +178,7 @@ class TestRedundancySnapshot:
         assert c.scheme == "block4-2"
         assert (c.n_units, c.unit_size, c.tolerance) == (1, 8, 2)
         assert c.rebuild_hours == pytest.approx(0.16668084821047732, rel=REL)
-        assert c.mttdl_array_years == pytest.approx(16913484784.239271, rel=1e-6)
+        assert c.mttdl_array_years == pytest.approx(16913521454.521618, rel=1e-6)
         assert c.p_loss_array == pytest.approx(5.912260679525614e-11, rel=1e-6)
 
     def test_scheme_none_is_bit_identical_to_no_redundancy(self, workload):

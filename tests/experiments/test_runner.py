@@ -1,11 +1,15 @@
 """Simulation runner: fairness protocol, completeness, registry."""
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.experiments import runner
 from repro.experiments.runner import ExperimentConfig, make_policy, run_simulation
+from repro.faults import parse_faults_spec
+from repro.redundancy import parse_redundancy_spec
 from repro.policies.static import StaticHighPolicy
 from repro.workload.synthetic import SyntheticWorkloadConfig
 
@@ -72,6 +76,35 @@ class TestRunSimulation:
         finally:
             gc.enable()
         assert leftover == []
+
+    @pytest.mark.parametrize("faulty", [False, True],
+                             ids=["plain", "faults+mirror2"])
+    def test_finished_cell_is_freed_by_reference_counting(
+            self, small_workload, params, monkeypatch, faulty):
+        """Closing a cell unwires it (pending events, drive hooks, sink
+        stop, fault domain), so with the cyclic GC off the finished
+        cell's kernel is already gone."""
+        kernels = []
+
+        class RecordedSimulator(runner.Simulator):
+            def __init__(self) -> None:
+                super().__init__()
+                kernels.append(weakref.ref(self))
+
+        monkeypatch.setattr(runner, "Simulator", RecordedSimulator)
+        fileset, trace = small_workload
+        kwargs = ({"faults": parse_faults_spec("seed=3,accel=2e5"),
+                   "redundancy": parse_redundancy_spec("mirror2")}
+                  if faulty else {})
+        gc.collect()
+        gc.disable()
+        try:
+            run_simulation(StaticHighPolicy(), fileset, trace.head(1000),
+                           n_disks=4, disk_params=params, **kwargs)
+            alive = [ref() is not None for ref in kernels]
+        finally:
+            gc.enable()
+        assert alive == [False]
 
     def test_deterministic_repeat(self, small_workload, params):
         fileset, trace = small_workload

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.runner import make_policy, run_simulation
 from repro.obs import events as ev
@@ -10,8 +12,8 @@ from repro.obs.bus import TraceBus
 from repro.obs.config import ObsConfig
 from repro.obs.events import TraceEvent
 from repro.obs.export import (JsonlTraceWriter, event_to_json, read_trace,
-                              timeseries_to_csv_text, write_metrics_json,
-                              write_timeseries)
+                              record_line, timeseries_to_csv_text,
+                              write_metrics_json, write_timeseries)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sampler import SAMPLE_COLUMNS, TimeSeries
 
@@ -29,6 +31,51 @@ class TestEventToJson:
         a = event_to_json(TraceEvent(0, 0.0, "x", {"b": 1, "a": 2}))
         b = event_to_json(TraceEvent(0, 0.0, "x", {"a": 2, "b": 1}))
         assert a == b
+
+
+#: Every scalar kind a payload can carry: bools, ints past 64 bits,
+#: every float (NaN, +-inf, -0.0, subnormals), any text (non-ASCII,
+#: control characters, quotes, ``%``) and ``None``.
+SCALARS = st.one_of(
+    st.booleans(),
+    st.integers(min_value=-2**80, max_value=2**80),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.text(),
+    st.none(),
+)
+
+
+def _dumps_record(seq, t, type_, payload):
+    """The reference encoding: ``json.dumps`` of the canonical dict."""
+    record = {"seq": seq, "t": t, "type": type_}
+    for key in sorted(payload):
+        record[key] = payload[key]
+    return json.dumps(record, separators=(",", ":"), allow_nan=True)
+
+
+class TestRecordLine:
+    @given(seq=st.integers(min_value=0, max_value=2**70),
+           t=st.floats(allow_nan=True, allow_infinity=True),
+           type_=st.text(), payload=st.dictionaries(st.text(), SCALARS),
+           nested=st.lists(SCALARS, max_size=4))
+    @settings(max_examples=400, deadline=None)
+    @example(seq=0, t=float("nan"), type_="a%sb", payload={
+        "%d": -0.0, "neg": float("-inf"), "sub": 5e-324, "ok": True,
+        "none": None, "big": 2**70, "s": 'q"\u00e9\x01%'}, nested=[])
+    @example(seq=1, t=1.0, type_="x", payload={"t": 2.0, "a": 1}, nested=[])
+    def test_equals_json_dumps(self, seq, t, type_, payload, nested):
+        assert record_line(seq, t, type_, payload) == \
+            _dumps_record(seq, t, type_, payload)
+        payload = {**payload, "nested": nested}
+        assert record_line(seq, t, type_, payload) == \
+            _dumps_record(seq, t, type_, payload)
+
+    def test_same_keys_with_other_value_types(self):
+        # the cached template is per key set; the values' types may vary
+        lines = [record_line(0, 0.0, "x", {"file": v})
+                 for v in (None, 3, "f", 1.5, [1], {"k": 1})]
+        assert [json.loads(line)["file"] for line in lines] \
+            == [None, 3, "f", 1.5, [1], {"k": 1}]
 
 
 class TestJsonlTraceWriter:

@@ -101,6 +101,25 @@ class TestMergeTraceFiles:
         assert not out.exists()
         assert list(tmp_path.glob("*.tmp")) == []
 
+    def test_trailing_data_rejected_and_no_output(self, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"seq":0,"t":1.0,"type":"x"} {"seq":1}\n',
+                       encoding="utf-8")
+        out = tmp_path / "merged.jsonl"
+        with pytest.raises(ValueError, match="not a JSON trace record"):
+            merge_trace_files([bad], out)
+        assert not out.exists()
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_unsorted_payload_merges_to_canonical_bytes(self, tmp_path):
+        seg = tmp_path / "s0.jsonl"
+        seg.write_text('{"shard":0,"z":1,"type":"x","t":2.5,"a":"%s",'
+                       '"seq":4,"m":null}\n', encoding="utf-8")
+        out = tmp_path / "merged.jsonl"
+        assert merge_trace_files([seg], out) == 1
+        assert out.read_text(encoding="utf-8") == \
+            '{"seq":0,"t":2.5,"type":"x","a":"%s","m":null,"z":1}\n'
+
     def test_record_without_type_rejected(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"seq":0,"t":1.0}\n', encoding="utf-8")

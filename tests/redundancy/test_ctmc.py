@@ -4,8 +4,9 @@ The mirror property test is the PR's acceptance criterion made
 executable: the birth-death chain with ``unit_size=2, tolerance=1``
 must reproduce Gibson's closed-form RAID-1 MTTDL
 ``(3*lam + mu) / (2*lam^2)`` across the whole physically plausible
-(lam, mu) range — agreement here certifies the generator matrix, the
-solver, and the rate conventions all at once.  Where the two *models*
+(lam, mu) range — agreement here certifies the hitting-time sum and
+the rate conventions at once; an exact rational solve of the generator
+system pins the sum for longer chains.  Where the two *models*
 diverge (max-AFR vs CTMC) is documented in DESIGN.md section 14 and
 pinned by ``test_none_degenerates_to_per_disk_rate``.
 
@@ -16,6 +17,7 @@ rate) that accelerated fault runs put the chain in.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -38,20 +40,31 @@ LAMBDAS = st.floats(min_value=1e-3, max_value=1.0)
 MUS = st.floats(min_value=HOURS_PER_YEAR / (14 * 24), max_value=HOURS_PER_YEAR / 0.33)
 
 
-def _mttdl_by_hitting_times(unit_size, tolerance, lam, mu):
-    """Birth-death MTTDL as a sum of positive terms, a reference for the CTMC.
+def _mttdl_exact(unit_size, tolerance, lam, mu):
+    """MTTDL by an exact rational solve of ``-Q_T t = 1``, a reference.
 
-    ``h_k``, the expected time to first reach ``k + 1`` failures from
-    ``k``, obeys ``h_k = (1 + k mu h_{k-1}) / ((n - k) lam)``, and the
-    MTTDL is ``sum(h_k)``.  Nothing is subtracted, so it stays accurate
-    at any ``mu / lam`` (a dense solve of the generator does not: its
-    conditioning grows like ``(mu / lam) ** tolerance``).
+    The transient generator's rates are converted to fractions exactly
+    and the tridiagonal system is eliminated without rounding, so the
+    reference has no conditioning loss at any ``mu / lam``.
     """
-    h = total = 0.0
-    for k in range(tolerance + 1):
-        h = (1.0 + k * mu * h) / ((unit_size - k) * lam)
-        total += h
-    return total
+    lam, mu = Fraction(lam), Fraction(mu)
+    dim = tolerance + 1
+    a = [[Fraction(0)] * dim + [Fraction(1)] for _ in range(dim)]
+    for j in range(dim):
+        a[j][j] = (unit_size - j) * lam + j * mu
+        if j < tolerance:
+            a[j][j + 1] = -(unit_size - j) * lam
+        if j > 0:
+            a[j][j - 1] = -j * mu
+    for col in range(dim):
+        for row in range(col + 1, dim):
+            factor = a[row][col] / a[col][col]
+            a[row] = [x - factor * y for x, y in zip(a[row], a[col])]
+    times = [Fraction(0)] * dim
+    for row in reversed(range(dim)):
+        rest = sum(a[row][k] * times[k] for k in range(row + 1, dim))
+        times[row] = (a[row][dim] - rest) / a[row][row]
+    return float(times[0])
 
 
 def _mirror_loss_closed_form(lam, mu, years):
@@ -85,16 +98,34 @@ def stiff_rare_chains(draw):
     return unit_size, tolerance, lam, lam * 10.0 ** log_ratio, years
 
 
+class TestMttdl:
+    @given(chain=stiff_rare_chains())
+    @settings(max_examples=100, deadline=None)
+    def test_stiff_chains_match_the_exact_solve(self, chain):
+        """The hitting-time sum is exact where a float solve of the
+        generator is not: (3, 2) at mu/lam of 1e6-1e7 put the dense
+        solve off by up to 1.3e-2."""
+        unit_size, tolerance, lam, mu, _years = chain
+        assert mttdl_years(unit_size, tolerance, lam, mu) == pytest.approx(
+            _mttdl_exact(unit_size, tolerance, lam, mu), rel=1e-12)
+
+    @given(lam=LAMBDAS, mu=MUS,
+           shape=st.sampled_from([(1, 0), (2, 1), (3, 2), (8, 2), (9, 3)]))
+    @settings(max_examples=100, deadline=None)
+    def test_plausible_rates_match_the_exact_solve(self, lam, mu, shape):
+        unit_size, tolerance = shape
+        assert mttdl_years(unit_size, tolerance, lam, mu) == pytest.approx(
+            _mttdl_exact(unit_size, tolerance, lam, mu), rel=1e-12)
+
+
 class TestMirrorClosedForm:
     @given(lam=LAMBDAS, mu=MUS)
     @settings(max_examples=200, deadline=None)
     def test_ctmc_matches_gibson_raid1_formula(self, lam, mu):
         ctmc = mttdl_years(unit_size=2, tolerance=1, lam=lam, mu=mu)
         closed = mirror_mttdl_closed_form(lam, mu)
-        # 1e-6 relative: the generator solve loses a few digits when
-        # mu/lam is extreme (~1e7 at the range corners), but the models
-        # are identical — tighter points are pinned at 1e-9 below
-        assert ctmc == pytest.approx(closed, rel=1e-6)
+        # the hitting-time sum is the closed form, term by term
+        assert ctmc == pytest.approx(closed, rel=1e-12)
 
     def test_at_the_papers_operating_point(self):
         # PRESS-style 10.5% AFR, a 10-minute accelerated-run rebuild
@@ -162,7 +193,7 @@ class TestLossProbability:
     @settings(max_examples=100, deadline=None)
     def test_stiff_rare_loss_is_mission_over_mttdl(self, chain):
         unit_size, tolerance, lam, mu, years = chain
-        mttdl = _mttdl_by_hitting_times(unit_size, tolerance, lam, mu)
+        mttdl = mttdl_years(unit_size, tolerance, lam, mu)
         assert loss_probability(unit_size, tolerance, lam, mu, years) == \
             pytest.approx(-math.expm1(-years / mttdl), rel=1e-3)
 

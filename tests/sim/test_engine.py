@@ -261,3 +261,18 @@ def test_pending_count_tracks_schedule_fire_cancel():
     assert sim.pending_count == 2
     sim.run()
     assert sim.pending_count == 0
+
+
+def test_discard_pending_drops_events_and_their_actions():
+    sim = Simulator()
+    fired = []
+    handles = [sim.schedule(float(t), lambda: fired.append(1))
+               for t in range(1, 4)]
+    sim.cancel(handles[0])
+    sim.discard_pending()
+    assert sim.pending_count == 0
+    assert all(h.action is None for h in handles)
+    sim.cancel(handles[1])  # cancelling a discarded event is a no-op
+    assert sim.pending_count == 0
+    assert sim.step() is False
+    assert fired == []
