@@ -13,7 +13,12 @@ the numbers stay comparable across commits:
 * one sharded cell (16 disks / 4 shards) with telemetry off and with
   per-shard trace segments merged into one canonical trace, guarding
   the shard tracing-overhead ratio (the sharded pair additionally pays
-  the k-way segment merge, so it has its own cap);
+  the k-way segment merge, so it has its own cap).  Both halves run the
+  SJF twin of the static-high cell: the untraced FCFS cell is served by
+  the exact replay and the traced one cannot be, so only a twin that
+  both take on the event heap keeps the ratio about tracing alone;
+* the untraced FCFS static-high sharded cell itself, served by the
+  exact replay;
 * one fault-injected redundancy cell (read x 8 disks, ``block4-2``,
   accelerated hazard) exercising the degraded-read reconstruct fan-in
   and rebuild fan-out paths end to end, guarding the per-request cost
@@ -37,6 +42,7 @@ from time import perf_counter
 from conftest import RESULTS_DIR, record_table
 from check_regression import (BASELINE_PATH, compare, stream_floor,
                               tracing_overhead)
+from repro.disk.drive import QueueDiscipline
 from repro.experiments.parallel import RunSpec, run_cells
 from repro.obs import ObsConfig
 from repro.sim.engine import Simulator
@@ -163,11 +169,16 @@ def measure_stream_requests_per_sec(repeats: int = 2) -> float:
     return best
 
 
-def measure_shard_cell_s(traced: bool, repeats: int = 2) -> float:
+def measure_shard_cell_s(traced: bool, *,
+                         discipline: QueueDiscipline = QueueDiscipline.SJF,
+                         repeats: int = 2) -> float:
     """Best-of-N wall-clock for one sharded cell (16 disks / 4 shards),
     with telemetry off or with per-shard trace segments plus the k-way
     merge into one canonical trace (end to end, like ``sweep --shards``
-    with ``--trace-out``)."""
+    with ``--trace-out``).
+
+    The default SJF discipline keeps both halves of the tracing pair on
+    the event heap; FCFS untraced is the replayed cell."""
     from repro.experiments.shard import run_sharded
 
     best = float("inf")
@@ -178,7 +189,7 @@ def measure_shard_cell_s(traced: bool, repeats: int = 2) -> float:
             start = perf_counter()
             run_sharded("static-high", STREAM_WORKLOAD,
                         n_disks=STREAM_DISKS, n_shards=STREAM_SHARDS,
-                        obs=obs)
+                        queue_discipline=discipline, obs=obs)
             best = min(best, perf_counter() - start)
     return best
 
@@ -225,6 +236,8 @@ def test_throughput(benchmark):
     rebuild_cell_s = measure_rebuild_cell_s()
     stream_rps = measure_stream_requests_per_sec()
     shard_merge_s = measure_shard_merge_s()
+    shard_replay_s = measure_shard_cell_s(traced=False,
+                                          discipline=QueueDiscipline.FCFS)
     shard_obs_off_s = measure_shard_cell_s(traced=False)
     shard_traced_s = measure_shard_cell_s(traced=True)
     benchmark.pedantic(lambda: object_events_per_sec, rounds=1, iterations=1)
@@ -239,6 +252,7 @@ def test_throughput(benchmark):
         "rebuild_cell_s": round(rebuild_cell_s, 3),
         "stream_requests_per_sec": round(stream_rps),
         "shard_merge_s": round(shard_merge_s, 4),
+        "shard_replay_s": round(shard_replay_s, 3),
         "shard_obs_off_s": round(shard_obs_off_s, 3),
         "shard_traced_s": round(shard_traced_s, 3),
     }
@@ -271,10 +285,13 @@ def test_throughput(benchmark):
         f"{'64d/16s merge [ms]':<28}{shard_merge_s * 1e3:>12.2f}"
         f"{baseline.get('shard_merge_s', float('nan')) * 1e3:>12.2f}"
         f"{'':>12}",
-        f"{'16d/4s cell, obs off [s]':<28}{shard_obs_off_s:>12.2f}"
+        f"{'16d/4s cell, replayed [s]':<28}{shard_replay_s:>12.2f}"
+        f"{baseline.get('shard_replay_s', float('nan')):>12.2f}"
+        f"{'':>12}",
+        f"{'16d/4s SJF cell, off [s]':<28}{shard_obs_off_s:>12.2f}"
         f"{baseline.get('shard_obs_off_s', float('nan')):>12.2f}"
         f"{'':>12}",
-        f"{'16d/4s cell, traced [s]':<28}{shard_traced_s:>12.2f}"
+        f"{'16d/4s SJF cell, traced [s]':<28}{shard_traced_s:>12.2f}"
         f"{baseline.get('shard_traced_s', float('nan')):>12.2f}"
         f"{'':>12}",
     ]

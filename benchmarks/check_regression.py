@@ -37,7 +37,10 @@ MAX_TRACING_OVERHEAD = 4.0
 #: per-shard segments, decoding each line once and re-encoding it with
 #: the writer's encoder, so the measured ratio sits at 5.6-7.2x on the
 #: same host; beyond 9x the emission-time remapping or the streaming
-#: merge has grown pathological work.
+#: merge has grown pathological work.  Both halves run the cell's SJF
+#: twin, which stays on the event heap: the untraced FCFS cell is
+#: served by the exact replay, which tracing refuses, so that pair
+#: would measure the replay, not the tracing.
 MAX_SHARD_TRACING_OVERHEAD = 9.0
 
 #: Hard floor on the streamed sharded dispatch rate (requests/sec end to
@@ -57,6 +60,8 @@ MAX_SHARD_MERGE_S = 0.25
 #: metric name -> True if higher is better.  ``cell_obs_off_s`` is the
 #: obs-disabled guard: the telemetry hooks must not slow the default
 #: (no-subscriber) path beyond the ordinary threshold.
+#: ``shard_replay_s`` is the untraced FCFS static-high sharded cell,
+#: which the exact replay serves.
 #: ``kernel_events_per_sec_object`` is the event kernel's dispatch rate
 #: (self-rescheduling tick through the event heap).
 _METRICS = {
@@ -68,6 +73,7 @@ _METRICS = {
     "rebuild_cell_s": False,
     "stream_requests_per_sec": True,
     "shard_merge_s": False,
+    "shard_replay_s": False,
     "shard_obs_off_s": False,
     "shard_traced_s": False,
 }

@@ -7,9 +7,15 @@ Runs, in order:
    ``[tool.coverage.report]`` in ``pyproject.toml`` when the plugin is
    installed; without it the suite still runs and the coverage step is
    reported as skipped (the gate must work on minimal toolchains);
-2. the throughput regression check (:mod:`benchmarks.check_regression`)
-   — skipped with a notice when no fresh measurement exists, failing
-   the gate only on an actual regression.
+2. the throughput benchmark (``benchmarks/bench_throughput.py``), which
+   measures this checkout and writes the result to the git-ignored
+   ``benchmarks/results/throughput.json``;
+3. the throughput regression check (:mod:`benchmarks.check_regression`)
+   on that fresh measurement — skipped with a notice when none exists,
+   failing the gate only on an actual regression.
+
+The gate never reads a committed measurement: a stale file would gate
+the code that wrote it, not the code under test.
 
 Exit code 0 iff every step that could run passed:
 
@@ -32,16 +38,26 @@ def has_pytest_cov() -> bool:
     return importlib.util.find_spec("pytest_cov") is not None
 
 
-def run_tests(*, with_coverage: bool) -> int:
-    cmd = [sys.executable, "-m", "pytest", "tests/"]
-    if with_coverage:
-        cmd += ["--cov=repro", "--cov-report=term-missing:skip-covered",
-                "--cov-fail-under=80"]
+def _pytest(args: list[str]) -> int:
     env = dict(os.environ)
     existing = env.get("PYTHONPATH")
     src = str(REPO_ROOT / "src")
     env["PYTHONPATH"] = src if not existing else src + os.pathsep + existing
-    return subprocess.run(cmd, cwd=REPO_ROOT, env=env).returncode
+    return subprocess.run([sys.executable, "-m", "pytest", *args],
+                          cwd=REPO_ROOT, env=env).returncode
+
+
+def run_tests(*, with_coverage: bool) -> int:
+    args = ["tests/"]
+    if with_coverage:
+        args += ["--cov=repro", "--cov-report=term-missing:skip-covered",
+                 "--cov-fail-under=80"]
+    return _pytest(args)
+
+
+def run_throughput_bench() -> int:
+    """Measure this checkout; writes :data:`RESULTS_PATH` before gating."""
+    return _pytest(["benchmarks/bench_throughput.py", "-q"])
 
 
 def run_regression_check() -> int:
@@ -61,6 +77,10 @@ def main() -> int:
     rc = run_tests(with_coverage=coverage)
     if rc != 0:
         print(f"ci_gate: test suite failed (exit {rc})")
+        return rc
+    rc = run_throughput_bench()
+    if rc != 0:
+        print(f"ci_gate: throughput bench failed (exit {rc})")
         return rc
     rc = run_regression_check()
     if rc != 0:

@@ -187,6 +187,8 @@ class READPolicy(Policy):
             self._epoch_task.stop()
         if self._controller is not None:
             self._controller.shutdown()
+        if self._budget is not None:
+            self._budget.close()
 
     # ------------------------------------------------------------------
     # budget adaptation (Fig. 6 lines 20-24)

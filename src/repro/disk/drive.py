@@ -544,6 +544,86 @@ class TwoSpeedDrive:
                              disk=self.disk_id, speed=speed.name.lower())
 
     # ------------------------------------------------------------------
+    # exact replay (fixed-speed FCFS, off the event heap)
+    # ------------------------------------------------------------------
+    def replay_fcfs(self, arrivals: list[float],
+                    sizes: list[float]) -> tuple[list[float], list[float]]:
+        """Serve user jobs by the FCFS recurrence instead of events.
+
+        A drive whose speed never changes and whose queue is FCFS starts
+        job ``n`` at ``S = A`` if it is idle at the arrival ``A``, else at
+        the previous completion, and completes it at ``C = S + service``:
+        exactly the instants :meth:`submit`, :meth:`_dispatch` and
+        :meth:`_complete` would produce.  The idle (``A - C_prev``, when
+        positive) and active (``C - S``) intervals are charged with the
+        same scalar expressions as :meth:`_account`,
+        :meth:`EnergyMeter.accumulate <repro.disk.energy.EnergyMeter.accumulate>`
+        and :meth:`ThermalModel.advance <repro.disk.thermal.ThermalModel.advance>`,
+        in the same order, so every ledger ends bit-identical to the
+        event path.  An arrival at exactly ``C_prev`` queues (arrivals
+        fire before same-instant completions), which gives the same
+        ``S``.
+
+        ``arrivals`` (non-decreasing, validated by the caller) continue
+        any earlier call.  Returns the start and completion times, one
+        per job, in service order.  Only valid while no event-path work
+        is in flight or pending.
+        """
+        if (self._phase is not DrivePhase.IDLE or self._queue
+                or self._pending_target is not None):
+            raise RuntimeError("replay_fcfs needs an idle drive with an "
+                               "empty queue and no pending speed change")
+        high = self._speed is DiskSpeed.HIGH
+        idle_state = DiskPowerState.IDLE_HIGH if high else DiskPowerState.IDLE_LOW
+        busy_state = DiskPowerState.ACTIVE_HIGH if high else DiskPowerState.ACTIVE_LOW
+        energy, thermal, stats = self.energy, self.thermal, self.stats
+        idle_w, busy_w = energy.power_w(idle_state), energy.power_w(busy_state)
+        idle_s, idle_j = energy.time_s(idle_state), energy.energy_j(idle_state)
+        busy_s, busy_j = energy.time_s(busy_state), energy.energy_j(busy_state)
+        temp, integral = thermal.temperature_c, thermal.integral_c_s
+        elapsed, tau = thermal.elapsed_s, thermal.tau_s
+        steady = self._steady_c_at_speed
+        positioning, rate = self._svc_positioning_s, self._svc_transfer_mb_s
+        mb = stats.mb_served
+        last = self._last_account_s
+        exp = math.exp
+        starts: list[float] = []
+        completions: list[float] = []
+        add_start, add_completion = starts.append, completions.append
+        for a, size in zip(arrivals, sizes):
+            if a > last:  # idle at the arrival: charge the gap, start now
+                dt = a - last
+                idle_s += dt
+                idle_j += idle_w * dt
+                decay = exp(-dt / tau)
+                integral += steady * dt + (temp - steady) * tau * (1.0 - decay)
+                temp = steady + (temp - steady) * decay
+                elapsed += dt
+                start = a
+            else:  # busy (or completing at this instant): queue behind it
+                start = last
+            last = start + (positioning + size / rate)
+            dt = last - start
+            if dt > 0.0:
+                busy_s += dt
+                busy_j += busy_w * dt
+                decay = exp(-dt / tau)
+                integral += steady * dt + (temp - steady) * tau * (1.0 - decay)
+                temp = steady + (temp - steady) * decay
+                elapsed += dt
+            mb += size
+            add_start(start)
+            add_completion(last)
+        energy.restore(idle_state, idle_s, idle_j)
+        energy.restore(busy_state, busy_s, busy_j)
+        thermal.restore(temperature_c=temp, integral_c_s=integral,
+                        elapsed_s=elapsed)
+        stats.requests_served += len(starts)
+        stats.mb_served = mb
+        self._last_account_s = last
+        return starts, completions
+
+    # ------------------------------------------------------------------
     # service loop
     # ------------------------------------------------------------------
     def _dispatch(self) -> None:

@@ -72,6 +72,16 @@ class EnergyMeter:
         self._time_s[state] += dt
         self._energy_j[state] += self._power[state] * dt
 
+    def restore(self, state: DiskPowerState, time_s: float, energy_j: float) -> None:
+        """Overwrite one state's totals with a continued accumulation.
+
+        For the drive's exact replay, which carries the running sums of
+        :meth:`accumulate` in locals (the same additions, in the same
+        order) and writes them back here when it is done.
+        """
+        self._time_s[state] = time_s
+        self._energy_j[state] = energy_j
+
     # ------------------------------------------------------------------
     @property
     def total_energy_j(self) -> float:

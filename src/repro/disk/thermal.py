@@ -131,6 +131,17 @@ class ThermalModel:
         self._integral_c_s = 0.0
         self._elapsed_s = 0.0
 
+    def restore(self, *, temperature_c: float, integral_c_s: float,
+                elapsed_s: float) -> None:
+        """Overwrite the trajectory state with a continued integration.
+
+        For the drive's exact replay, which runs :meth:`advance`'s
+        arithmetic in locals and writes the result back here.
+        """
+        self._temp_c = temperature_c
+        self._integral_c_s = integral_c_s
+        self._elapsed_s = elapsed_s
+
     def time_to_reach(self, target_c: float, steady_c: float) -> float:
         """Time for the trajectory toward ``steady_c`` to cross ``target_c``.
 

@@ -10,7 +10,8 @@ end of the run and frozen into a :class:`SimulationResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import cmp_to_key
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,6 +44,9 @@ class RequestMetrics:
         self._failed = 0
         #: Called once every request terminated (``None``: nothing to call).
         self.on_all_done = on_all_done
+        #: Replayed jobs awaiting :meth:`close_replay`, per disk in
+        #: service order: ``(arrival indices, A, S, C)`` arrays.
+        self._replayed: dict[int, list[tuple[np.ndarray, ...]]] = {}
 
     # ------------------------------------------------------------------
     def on_complete(self, job: Job) -> None:
@@ -73,6 +77,47 @@ class RequestMetrics:
         self._failed += 1
         if self._count + self._failed >= self._expected and self.on_all_done is not None:
             self.on_all_done()
+
+    def record_replayed(self, disk: int, indices: np.ndarray,
+                        arrivals: Sequence[float], starts: Sequence[float],
+                        completions: Sequence[float]) -> None:
+        """Take one disk's jobs from the runner's exact replay.
+
+        ``indices`` are the jobs' positions in the arrival stream and
+        the other three their arrival, start and completion times, in
+        the disk's service order; calls for one disk continue each
+        other.  Nothing is recorded until :meth:`close_replay`, which
+        needs every disk's jobs to recover the completion order.
+        """
+        self._replayed.setdefault(disk, []).append(
+            (np.asarray(indices, dtype=np.int64),
+             np.array(arrivals, dtype=np.float64),
+             np.array(starts, dtype=np.float64),
+             np.array(completions, dtype=np.float64)))
+
+    def close_replay(self) -> None:
+        """Record the replayed jobs in the event path's completion order.
+
+        :meth:`mean_response_s` sums in recording order, so the replay
+        must record responses in the order the event loop would have
+        fired the completions (see :func:`_completion_order`).
+        """
+        if not self._replayed:
+            return
+        per_disk = [[np.concatenate(column) for column in zip(*parts)]
+                    for _, parts in sorted(self._replayed.items())]
+        self._replayed = {}
+        firsts = np.cumsum([0] + [disk[0].size for disk in per_disk])[:-1]
+        index, arrival, start, completion = (
+            np.concatenate(column) for column in zip(*per_disk))
+        count = self._count
+        if count + self._failed + index.size > self._expected:
+            raise ValueError("more completions than expected requests")
+        order = _completion_order(index, arrival, completion, firsts)
+        end = count + index.size
+        self._response_times[count:end] = (completion - arrival)[order]
+        self._waits[count:end] = (start - arrival)[order]
+        self._count = end
 
     # ------------------------------------------------------------------
     @property
@@ -109,6 +154,57 @@ class RequestMetrics:
         """Response-time percentile (q in [0, 100])."""
         require(self._count > 0, "no completed requests")
         return float(np.percentile(self.response_times_s, q))
+
+
+def _completion_order(index: np.ndarray, arrival: np.ndarray,
+                      completion: np.ndarray, firsts: np.ndarray) -> np.ndarray:
+    """The order in which the event loop fires these replayed completions.
+
+    Jobs are laid out disk by disk in service order; ``firsts`` marks
+    where each disk begins.  Events fire in ``(time, priority, seq)``
+    order, and ``seq`` follows the firing order of the event that
+    scheduled them, so completions sort by time and an equal-time tie
+    goes to the job whose *dispatching* event fired first.  That event
+    is the job's own arrival ``(A, -1, index)`` when the disk was idle,
+    or its predecessor's completion ``(C_prev, 0, ...)`` when it queued
+    (``A <= C_prev``: an arrival at exactly ``C_prev`` fires first and
+    queues), which is compared the same way, recursively.
+    """
+    queued = np.zeros(index.size, dtype=bool)
+    queued[1:] = arrival[1:] <= completion[:-1]
+    queued[firsts] = False
+    order = np.argsort(completion, kind="stable")
+    ordered = completion[order]
+    ties = np.flatnonzero(ordered[1:] == ordered[:-1]).tolist()
+    if not ties:
+        return order
+    a_list, c_list = arrival.tolist(), completion.tolist()
+    q_list, i_list = queued.tolist(), index.tolist()
+
+    def fires_first(p: int, q: int) -> int:
+        # completions p and q fire at one instant: compare their
+        # dispatching events, walking back through queued predecessors
+        while True:
+            qp, qq = q_list[p], q_list[q]
+            tp = c_list[p - 1] if qp else a_list[p]
+            tq = c_list[q - 1] if qq else a_list[q]
+            if tp != tq:
+                return -1 if tp < tq else 1
+            if qp != qq:
+                return 1 if qp else -1  # arrivals (-1) before completions (0)
+            if not qp:
+                return i_list[p] - i_list[q]
+            p, q = p - 1, q - 1
+
+    key = cmp_to_key(fires_first)
+    k = 0
+    while k < len(ties):
+        lo = hi = ties[k]
+        while k < len(ties) and ties[k] == hi:
+            hi += 1
+            k += 1
+        order[lo:hi + 1] = sorted(order[lo:hi + 1].tolist(), key=key)
+    return order
 
 
 @dataclass(frozen=True, slots=True)

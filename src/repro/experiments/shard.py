@@ -348,6 +348,39 @@ class _ShardMetrics:
                 and self.on_all_done is not None):
             self.on_all_done()
 
+    def record_replayed(self, disk: int, indices: np.ndarray,
+                        arrivals: Sequence[float], starts: Sequence[float],
+                        completions: Sequence[float]) -> None:
+        """Take one disk's jobs from the runner's exact replay.
+
+        The sums run in the disk's service order, which is the order
+        :meth:`on_complete` sees them in on the event path; the
+        histogram is integer counts, so its order is free.
+        """
+        resp_sum, wait_sum = self._resp_sum[disk], self._wait_sum[disk]
+        bins: list[int] = []
+        add_bin = bins.append
+        log10, top = math.log10, N_RESPONSE_BINS - 1
+        for a, s, c in zip(arrivals, starts, completions):
+            response = c - a
+            resp_sum += response
+            wait_sum += s - a
+            # response_bin, inlined: this loop runs once per request
+            if response <= 1e-6:
+                add_bin(0)
+            elif response >= 1e2:
+                add_bin(top)
+            else:
+                index = int((log10(response) - _LOG10_LO) * _BINS_PER_DECADE)
+                add_bin(index if index < top else top)
+        self._resp_sum[disk], self._wait_sum[disk] = resp_sum, wait_sum
+        self._count[disk] += len(bins)
+        self._hist += np.bincount(bins, minlength=N_RESPONSE_BINS)
+        self.completed += len(bins)
+
+    def close_replay(self) -> None:
+        """Every disk's replay is in (nothing is held back)."""
+
     def on_exhausted(self, dispatched: int) -> None:
         """The stream ran out after ``dispatched`` arrivals."""
         self.dispatched = dispatched
@@ -456,11 +489,10 @@ def run_shard_cell(spec: RunSpec) -> ShardCellResult:
     # hold one filtered chunk at a time; a shard no request ever targets
     # drains nothing: its disks idle from t=0 to the global end, and the
     # merge's ledger close accounts all of it
-    def filtered_chunks() -> Iterator[tuple[list[float], list[int]]]:
+    def filtered_chunks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for chunk in stream.chunks(shard.chunk_size):
             keep = mine[chunk.file_ids]
-            yield (chunk.times_s[keep].tolist(),
-                   local_id[chunk.file_ids[keep]].tolist())
+            yield chunk.times_s[keep], local_id[chunk.file_ids[keep]]
 
     wall_clock_s = _drain(cell, filtered_chunks(), metrics.on_exhausted)
     duration = cell.sim.now

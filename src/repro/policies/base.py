@@ -120,6 +120,18 @@ class TransitionBudget:
             self._on_half_spent(disk_id)
         return True
 
+    def close(self) -> None:
+        """Drop the ``on_half_spent`` hook (end-of-run teardown).
+
+        The hook is a method of the policy that owns this budget, so
+        keeping it would hold the policy in a reference cycle.
+        """
+        self._on_half_spent = None
+
+
+def _never_eligible(_disk_id: int) -> bool:
+    return False
+
 
 class SpeedController:
     """Idleness-timer spin-down plus demand spin-up for a set of drives.
@@ -208,9 +220,18 @@ class SpeedController:
             drive.request_speed(DiskSpeed.HIGH)
 
     def shutdown(self) -> None:
-        """Cancel every armed idleness timer (end-of-run teardown)."""
+        """End-of-run teardown: cancel every idleness timer for good.
+
+        The timers' actions call back into this controller and the
+        eligibility predicate may call into the policy, so both are
+        dropped (no idle edge re-arms a timer afterwards), breaking the
+        reference cycles that would otherwise hold the policy, and with
+        it the kernel, until a cyclic GC pass.  Thresholds stay
+        readable.
+        """
         for timer in self._timers.values():
-            timer.cancel()
+            timer.close()
+        self._eligible = _never_eligible
 
     def set_idle_threshold(self, disk_id: int, threshold_s: float) -> None:
         """Rewrite one disk's idleness threshold H (READ's adaptation)."""

@@ -49,7 +49,8 @@ import math
 from time import perf_counter
 from typing import Any, Callable, Optional, Protocol
 
-__all__ = ["EventHandle", "Simulator", "SimulationError", "DispatchProfiler"]
+__all__ = ["EventHandle", "Simulator", "SimulationError", "DispatchProfiler",
+           "event_time_error"]
 
 Action = Callable[[], None]
 
@@ -68,6 +69,19 @@ _INF = math.inf
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (scheduling into the past, bad run bounds)."""
+
+
+def event_time_error(time: object, now: float) -> SimulationError:
+    """The error :meth:`Simulator.schedule_at` raises for an event at
+    ``time`` that is not a finite instant at or after ``now``.
+
+    Shared with the runner's exact replay, which validates arrival
+    times itself and must fail on them exactly as scheduling would.
+    """
+    if isinstance(time, (int, float)) and math.isfinite(time):
+        return SimulationError(
+            f"cannot schedule into the past: event time {time} < now {now}")
+    return SimulationError(f"event time must be finite, got {time!r}")
 
 
 class EventHandle:
@@ -209,14 +223,8 @@ class Simulator:
             in_future = time >= self._now
         except TypeError:
             raise SimulationError(f"event time must be finite, got {time!r}") from None
-        if not in_future:
-            if isinstance(time, (int, float)) and math.isfinite(time):
-                raise SimulationError(
-                    f"cannot schedule into the past: event time {time} < now {self._now}"
-                )
-            raise SimulationError(f"event time must be finite, got {time!r}")
-        if time == _INF:
-            raise SimulationError(f"event time must be finite, got {time!r}")
+        if not in_future or time == _INF:
+            raise event_time_error(time, self._now)
         if type(time) is not float:
             time = float(time)
         # push inlined (same body as in schedule)
@@ -251,6 +259,24 @@ class Simulator:
             entry[3].action = None
         self._heap.clear()
         self._live = 0
+
+    def record_replay(self, until: float, events: int) -> None:
+        """Account a stretch of simulation that ran off the event heap.
+
+        The runner's exact replay serves fixed-speed cells by their
+        closed-form recurrence instead of dispatching events; this sets
+        the clock to ``until`` (the last replayed completion) and adds
+        the ``events`` the event path would have executed there, so
+        :attr:`now` and :attr:`events_executed` read as if it had run.
+        """
+        if self._running:
+            raise SimulationError("record_replay() called from inside an event action")
+        if not (math.isfinite(until) and until >= self._now):
+            raise SimulationError(f"until must be finite and >= now, got {until!r}")
+        if events < 0:
+            raise SimulationError(f"events must be >= 0, got {events!r}")
+        self._now = float(until)
+        self._events_executed += events
 
     # ------------------------------------------------------------------
     # execution

@@ -33,7 +33,7 @@ class ResettableTimer:
                  *, priority: int = 0) -> None:
         self._sim = sim
         self.interval = require_positive(interval, "interval")
-        self._action = action
+        self._action: Optional[Callable[[], None]] = action
         self._priority = priority
         self._handle: Optional[EventHandle] = None
 
@@ -56,8 +56,20 @@ class ResettableTimer:
             self._sim.cancel(self._handle)
             self._handle = None
 
+    def close(self) -> None:
+        """Cancel and drop the action (end-of-run teardown).
+
+        The action usually refers back to the timer's owner, which
+        holds the timer: dropping it breaks that reference cycle.  A
+        closed timer must not be armed again; :attr:`interval` stays
+        readable.
+        """
+        self.cancel()
+        self._action = None
+
     def _fire(self) -> None:
         self._handle = None
+        assert self._action is not None, "closed ResettableTimer fired"
         self._action()
 
 
@@ -74,7 +86,7 @@ class PeriodicTask:
                  *, start_offset: Optional[float] = None, priority: int = 0) -> None:
         self._sim = sim
         self.period = require_positive(period, "period")
-        self._action = action
+        self._action: Optional[Callable[[int], None]] = action
         self._priority = priority
         self._tick = 0
         self._stopped = False
@@ -89,18 +101,25 @@ class PeriodicTask:
         return self._tick
 
     def stop(self) -> None:
-        """Cancel all future ticks (safe to call from inside the action)."""
+        """Cancel all future ticks (safe to call from inside the action).
+
+        The action is dropped too: it usually refers back to the task's
+        owner, which holds the task, and a stopped task never calls it
+        again.
+        """
         self._stopped = True
+        self._action = None
         if self._handle is not None:
             self._sim.cancel(self._handle)
             self._handle = None
 
     def _fire(self) -> None:
         self._handle = None
-        if self._stopped:
+        action = self._action
+        if action is None:  # stopped
             return
         index = self._tick
         self._tick += 1
-        self._action(index)
+        action(index)
         if not self._stopped:
             self._handle = self._sim.schedule(self.period, self._fire, priority=self._priority)

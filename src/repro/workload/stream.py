@@ -26,7 +26,9 @@ Two implementations of the :class:`RequestStream` protocol:
   3. *RNG pre-pass*: the batch path draws all arrivals, then all ranks,
      from one generator.  The stream clones the seed and runs the
      arrival draws to exhaustion (discarding them) to position the rank
-     generator, trading one cheap extra pass for O(chunk) memory.
+     generator, trading one cheap extra pass for O(chunk) memory; the
+     positioned state is memoized per process, so the shards of one
+     cell pay that pass once.
 
 * :class:`WC98Stream` — the chunked twin of
   :func:`~repro.workload.wc98.wc98_to_trace` over the binary WorldCup98
@@ -48,6 +50,7 @@ digest — see ``repro.workload.cache``).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol, Union, runtime_checkable
 
@@ -140,6 +143,33 @@ def _gap_runs(cfg: SyntheticWorkloadConfig, rng: np.random.Generator,
         i += take
 
 
+#: Rank-generator states already positioned by the pre-pass, most
+#: recent last: ``(config, chunk_size, bit_generator.state)``.  A config
+#: holds a dict, so entries are found by equality, not by hash.
+_RANK_RNG_STATES: deque[tuple[SyntheticWorkloadConfig, int, dict]] = deque(maxlen=8)
+
+
+def _positioned_rank_rng(cfg: SyntheticWorkloadConfig,
+                         chunk_size: int) -> np.random.Generator:
+    """The rank generator, positioned where the batch path's sits.
+
+    The batch path draws all arrivals, then all ranks, from one
+    generator; the stream replays the arrival draws (discarded) to get
+    there.  That pre-pass costs as much as drawing the arrivals, and
+    every shard of a sharded cell streams the same workload, so the
+    positioned state is kept in a small in-process memo.
+    """
+    rng = rng_from(cfg.seed + 2)
+    for known, size, state in _RANK_RNG_STATES:
+        if size == chunk_size and known == cfg:
+            rng.bit_generator.state = state
+            return rng
+    for _ in _gap_runs(cfg, rng, chunk_size):
+        pass
+    _RANK_RNG_STATES.append((cfg, chunk_size, rng.bit_generator.state))
+    return rng
+
+
 def _rechunk(runs: Iterable[np.ndarray], chunk_size: int) -> Iterator[np.ndarray]:
     """Reassemble arbitrarily-sized runs into owned ``chunk_size`` blocks."""
     buf: list[np.ndarray] = []
@@ -203,13 +233,7 @@ class SyntheticStream:
         bounds = np.linspace(0, cfg.n_requests, len(orders) + 1).astype(np.int64)
         cdf = zipf_cdf(len(fileset), cfg.zipf_alpha)
 
-        # rank RNG pre-pass: replay the arrival draws (discarded) so the
-        # generator sits exactly where the batch path's sits when it
-        # starts sampling ranks
-        rng_ranks = rng_from(cfg.seed + 2)
-        for _ in _gap_runs(cfg, rng_ranks, chunk_size):
-            pass
-
+        rng_ranks = _positioned_rank_rng(cfg, chunk_size)
         rng_arrivals = rng_from(cfg.seed + 2)
         carry = 0.0
         start = 0

@@ -77,13 +77,20 @@ class TestRunSimulation:
             gc.enable()
         assert leftover == []
 
-    @pytest.mark.parametrize("faulty", [False, True],
-                             ids=["plain", "faults+mirror2"])
+    @pytest.mark.parametrize(
+        ("policy", "faulty"),
+        [("static-high", False), ("static-high", True), ("read", False),
+         ("maid", False), ("pdc", False), ("drpm", False),
+         ("hibernator", False)],
+        ids=["plain", "faults+mirror2", "read", "maid", "pdc", "drpm",
+             "hibernator"])
     def test_finished_cell_is_freed_by_reference_counting(
-            self, small_workload, params, monkeypatch, faulty):
+            self, small_workload, params, monkeypatch, policy, faulty):
         """Closing a cell unwires it (pending events, drive hooks, sink
-        stop, fault domain), so with the cyclic GC off the finished
-        cell's kernel is already gone."""
+        stop, fault domain) and the policy's shutdown drops its timer,
+        periodic-task and budget callbacks, so with the cyclic GC off
+        the finished cell's kernel is already gone.  Plain static-high
+        replays off the event heap; the rest run on it."""
         kernels = []
 
         class RecordedSimulator(runner.Simulator):
@@ -99,12 +106,14 @@ class TestRunSimulation:
         gc.collect()
         gc.disable()
         try:
-            run_simulation(StaticHighPolicy(), fileset, trace.head(1000),
-                           n_disks=4, disk_params=params, **kwargs)
+            result = run_simulation(make_policy(policy), fileset,
+                                    trace.head(1000), n_disks=4,
+                                    disk_params=params, **kwargs)
             alive = [ref() is not None for ref in kernels]
         finally:
             gc.enable()
         assert alive == [False]
+        assert result.policy_detail["name"] == policy
 
     def test_deterministic_repeat(self, small_workload, params):
         fileset, trace = small_workload

@@ -66,6 +66,13 @@ class TestCompare:
         assert len(problems) == 1
         assert "cell_obs_off_s" in problems[0]
 
+    def test_replayed_shard_cell_is_gated(self):
+        base = dict(BASELINE, shard_replay_s=0.4)
+        current = dict(base, shard_replay_s=0.6)  # +50%
+        problems = check_regression.compare(current, base)
+        assert len(problems) == 1
+        assert "shard_replay_s" in problems[0]
+
     def test_traced_cell_is_gated(self):
         base = dict(BASELINE, cell_traced_s=1.5)
         current = dict(base, cell_traced_s=2.5)  # +67%
@@ -136,6 +143,7 @@ class TestCommittedBaseline:
         # themselves satisfy their overhead caps
         assert data["cell_obs_off_s"] > 0
         assert data["cell_traced_s"] > 0
+        assert data["shard_replay_s"] > 0
         assert data["shard_obs_off_s"] > 0
         assert data["shard_traced_s"] > 0
         assert check_regression.tracing_overhead(data) == []
@@ -171,6 +179,23 @@ class TestCiGate:
 
     def test_has_pytest_cov_is_boolean(self, ci_gate):
         assert isinstance(ci_gate.has_pytest_cov(), bool)
+
+    def test_gate_measures_before_it_checks(self, ci_gate, monkeypatch):
+        steps = []
+        monkeypatch.setattr(ci_gate, "run_tests",
+                            lambda **kw: steps.append("tests") or 0)
+        monkeypatch.setattr(ci_gate, "run_throughput_bench",
+                            lambda: steps.append("bench") or 0)
+        monkeypatch.setattr(ci_gate, "run_regression_check",
+                            lambda: steps.append("check") or 0)
+        assert ci_gate.main() == 0
+        assert steps == ["tests", "bench", "check"]
+
+    def test_failed_bench_fails_the_gate(self, ci_gate, monkeypatch):
+        monkeypatch.setattr(ci_gate, "run_tests", lambda **kw: 0)
+        monkeypatch.setattr(ci_gate, "run_throughput_bench", lambda: 1)
+        monkeypatch.setattr(ci_gate, "run_regression_check", lambda: 0)
+        assert ci_gate.main() == 1
 
     def test_regression_check_skips_without_results(self, ci_gate, tmp_path,
                                                     monkeypatch, capsys):

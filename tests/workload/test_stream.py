@@ -103,6 +103,29 @@ class TestSyntheticStreamEquivalence:
         already_open = open_stream(from_cfg)
         assert already_open is from_cfg
 
+    @pytest.mark.parametrize("bursty", [False, True])
+    def test_memoized_rank_position_equals_a_cold_stream(self, monkeypatch,
+                                                         bursty):
+        # the shards of one cell stream the same workload: all but the
+        # first skip the rank-RNG pre-pass and must still match exactly
+        import repro.workload.stream as stream_module
+
+        monkeypatch.setattr(stream_module, "_RANK_RNG_STATES",
+                            stream_module.deque(maxlen=8))
+        cfg = SyntheticWorkloadConfig(n_files=40, n_requests=1_500, seed=11,
+                                      bursty=bursty, size_kwargs={"sigma": 1.0})
+        cold = materialize(cfg, chunk_size=256)
+        passes = []
+        real_gap_runs = stream_module._gap_runs
+        monkeypatch.setattr(stream_module, "_gap_runs",
+                            lambda *a: passes.append(1) or real_gap_runs(*a))
+        warm = materialize(SyntheticWorkloadConfig(
+            n_files=40, n_requests=1_500, seed=11, bursty=bursty,
+            size_kwargs={"sigma": 1.0}), chunk_size=256)
+        assert passes == [1]  # the arrivals only: the pre-pass was skipped
+        assert_traces_identical(warm, cold)
+        assert_traces_identical(warm, WorldCupLikeWorkload(cfg).generate())
+
 
 # ----------------------------------------------------------------------
 # cache keying: the digest is spec-derived, buffering-independent
