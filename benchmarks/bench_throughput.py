@@ -197,19 +197,18 @@ def measure_shard_cell_s(traced: bool, *,
 def measure_shard_merge_s(repeats: int = 3) -> float:
     """Best-of-N wall-clock for merging one 64-disk / 16-shard cell.
 
-    The shard partials are produced once outside the timer; only
+    The shard partials are produced once outside the timer, by one
+    range of all the shards (one stream pass); only
     :func:`~repro.experiments.shard.merge_shard_results` — ledger closes
     at the global horizon, PRESS re-scoring, fixed-order reductions —
     is measured."""
-    from repro.experiments.parallel import run_cell
     from repro.experiments.shard import (ShardCellSpec, ShardPlan,
-                                         merge_shard_results)
+                                         merge_shard_results, run_shard_cell)
 
     plan = ShardPlan(n_disks=MERGE_DISKS, n_shards=MERGE_SHARDS)
-    partials = [run_cell(RunSpec(policy="static-high", n_disks=MERGE_DISKS,
-                                 workload=STREAM_WORKLOAD,
-                                 shard=ShardCellSpec(plan, s)))
-                for s in range(MERGE_SHARDS)]
+    partials = run_shard_cell(RunSpec(
+        policy="static-high", n_disks=MERGE_DISKS, workload=STREAM_WORKLOAD,
+        shard=ShardCellSpec(plan, 0, count=MERGE_SHARDS))).shards
     best = float("inf")
     for _ in range(repeats):
         start = perf_counter()

@@ -98,9 +98,11 @@ class RunSpec:
     obs: Optional[ObsConfig] = None
     #: Set on the sub-cells :func:`~repro.experiments.shard
     #: .run_sharded_cells` fans out: the cell then runs the shared cell
-    #: assembly over one shard of the array and the *streamed* workload
-    #: and returns a ``ShardCellResult`` (open ledgers the shard merge
-    #: closes), not a ``SimulationResult``.  ``None`` = ordinary cell.
+    #: assembly over a contiguous range of the array's shards, from one
+    #: pass over the *streamed* workload, and returns a
+    #: ``ShardCellResult`` (one shard) or ``ShardRangeResult`` (open
+    #: ledgers the shard merge closes), not a ``SimulationResult``.
+    #: ``None`` = ordinary cell.
     shard: "Optional[ShardCellSpec]" = None
     #: Redundancy-group scheme (``None`` = no layout; see
     #: :mod:`repro.redundancy`).  Frozen plain data, pickles across the
@@ -111,9 +113,12 @@ class RunSpec:
         """Compact human-readable cell name for errors and progress."""
         kwargs = ", ".join(f"{k}={v!r}" for k, v in sorted(self.policy_kwargs.items()))
         suffix = f" [{kwargs}]" if kwargs else ""
-        if self.shard is not None:
-            suffix += (f" [shard {self.shard.index + 1}"
-                       f"/{self.shard.plan.n_shards}]")
+        shard = self.shard
+        if shard is not None:
+            first = shard.index + 1
+            span = (f"shard {first}" if shard.count == 1
+                    else f"shards {first}-{first + shard.count - 1}")
+            suffix += f" [{span}/{shard.plan.n_shards}]"
         return f"{self.policy} x {self.n_disks} disks{suffix}"
 
 
@@ -130,8 +135,10 @@ def run_cell(spec: RunSpec) -> SimulationResult:
     """Execute one cell in the current process.
 
     Shard sub-cells (``spec.shard`` set) stream their workload and
-    return a ``ShardCellResult`` — an open partial result only
-    :func:`repro.experiments.shard.merge_shard_results` can consume.
+    return a ``ShardCellResult`` or, for a range of several shards, a
+    ``ShardRangeResult`` — open partial results that only the shard
+    merge (:func:`repro.experiments.shard.merge_shard_results`) can
+    consume.
     The cast below keeps the common signature; only the shard fan-out
     (:func:`~repro.experiments.shard.run_sharded_cells`) builds such
     specs, and it knows the real type of what comes back.

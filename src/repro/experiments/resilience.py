@@ -107,13 +107,16 @@ def spec_key(spec: RunSpec) -> str:
         spec.obs,
     )
     # Appended only when set so every pre-sharding checkpoint key is
-    # unchanged.  A shard sub-cell keys on (plan, shard index) but *not*
-    # on its chunk size: chunking changes iteration granularity, never
-    # the produced result (same contract as the workload digest), so a
-    # sweep resumed under a different --stream-chunk reuses its
-    # checkpointed shards.
+    # unchanged.  A shard range keys on (plan, first shard[, count]) but
+    # *not* on its chunk size: chunking changes iteration granularity,
+    # never the produced result (same contract as the workload digest),
+    # so a sweep resumed under a different --stream-chunk reuses its
+    # checkpointed shards.  A one-shard range (what journaled sweeps
+    # fan out) keeps the key of the one-shard sub-cells before ranges.
     if spec.shard is not None:
         payload = payload + (spec.shard.plan, spec.shard.index)
+        if spec.shard.count > 1:
+            payload = payload + (spec.shard.count,)
     # same append-only-when-set contract: redundancy-free specs keep
     # their pre-redundancy checkpoint keys
     if spec.redundancy is not None:

@@ -6,18 +6,25 @@ streams the trace's arrivals through the policy's router, runs until the
 last user request completes, then freezes metrics, energy, and the PRESS
 reliability assessment into a :class:`SimulationResult`.
 
-The build (:func:`_build_cell`) and the drain (:func:`_drain`) are the
+The build (:func:`_build_cell`) and the drain (:class:`_Feed`) are the
 one cell assembly: the shard worker
 (:func:`repro.experiments.shard.run_shard_cell`) runs the same two
-functions and differs only in its arrival source, completion sink and
+pieces and differs only in its arrival source, completion sink and
 close step.
 
-Arrivals are streamed (each arrival event schedules the next) rather
-than pre-loaded, so multi-million-request traces don't balloon the event
-heap.  Cells whose disks never change speed and serve FCFS with nothing
-observing the events (:func:`_replay_refusal`) skip the heap altogether:
-every disk is replayed by the exact FCFS recurrence (:func:`_replay`),
-bit-identical to the event loop.  End-of-run semantics: the measured horizon is the completion time
+The drain is push-based: arrivals arrive in blocks (``feed(times,
+ids)``), then ``finish()`` runs the cell to its last completion.  The
+unsharded runner feeds its whole trace as one block; a shard worker
+feeds each of its shards the slice of every stream chunk it owns, so
+one stream pass serves many cells.  Within a block arrivals are
+streamed (each arrival event schedules the next) rather than
+pre-loaded, so multi-million-request traces don't balloon the event
+heap; between blocks the kernel stops and resumes without disturbing
+a single event's order.  Cells whose disks never change speed and
+serve FCFS with nothing observing the events (:func:`_replay_refusal`)
+skip the heap altogether: every disk is replayed by the exact FCFS
+recurrence (:func:`_replay_server`), bit-identical to the event loop.
+End-of-run semantics: the measured horizon is the completion time
 of the last user request; the policy is then shut down (periodic tasks
 and timers cancelled) and any still-queued *internal* work is abandoned
 — its already-elapsed disk time is accounted, matching how the paper's
@@ -29,9 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import chain
 from time import perf_counter
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -157,7 +163,7 @@ class ExperimentConfig:
         return cached_generate(self.workload)
 
 
-#: One block of arrivals for :func:`_drain`: absolute arrival times
+#: One block of arrivals for :class:`_Feed`: absolute arrival times
 #: (float64) and file ids (int64).
 _Chunk = tuple[np.ndarray, np.ndarray]
 
@@ -213,7 +219,7 @@ def _build_cell(policy: Policy, fileset: FileSet, *, n_disks: int,
                 faults: FaultConfig | None = None,
                 press: PRESSModel | None = None,
                 groups: RedundancyGroups | None = None) -> _Cell:
-    """Build one cell and lay its data out, ready for :func:`_drain`.
+    """Build one cell and lay its data out, ready to feed (:class:`_Feed`).
 
     The one assembly behind :func:`run_simulation` and the shard worker
     (:func:`repro.experiments.shard.run_shard_cell`).  What differs
@@ -292,19 +298,27 @@ def _replay_refusal(cell: _Cell) -> str | None:
     return None
 
 
-def _replay(cell: _Cell, chunks: Iterator[_Chunk],
-            on_exhausted: Callable[[int], None] | None) -> int:
-    """Serve every arrival of ``chunks`` by the exact FCFS recurrence.
+class _Server(NamedTuple):
+    """One serving strategy of :class:`_Feed`: per-block ``feed``, then
+    ``finish`` (run what is still in flight), and ``release`` (drop the
+    strategy's own references; called once, whatever happened)."""
 
-    The off-heap twin of :func:`_run_events` for the cells
-    :func:`_replay_refusal` accepts: each chunk is split by disk, each
+    feed: Callable[[np.ndarray, np.ndarray], None]
+    finish: Callable[[], None]
+    release: Callable[[], None]
+
+
+def _replay_server(cell: _Cell) -> _Server:
+    """Serve every fed arrival by the exact FCFS recurrence.
+
+    The off-heap twin of :func:`_event_server` for the cells
+    :func:`_replay_refusal` accepts: each block is split by disk, each
     disk replays its arrivals (:meth:`TwoSpeedDrive.replay_fcfs
     <repro.disk.drive.TwoSpeedDrive.replay_fcfs>`), and the sink takes
     the jobs in bulk.  Arrival times are checked as scheduling them
-    would, with the same error.  The kernel's clock and event count end
-    where the event path leaves them: at the last completion, after one
-    arrival and one completion event per request.  Returns the number
-    of arrivals served.
+    would, with the same error.  ``finish`` leaves the kernel's clock
+    and event count where the event path leaves them: at the last
+    completion, after one arrival and one completion event per request.
     """
     sim, sink, array = cell.sim, cell.sink, cell.array
     drives = array.drives
@@ -312,12 +326,11 @@ def _replay(cell: _Cell, chunks: Iterator[_Chunk],
     sizes_mb = array.fileset.sizes_mb
     disk_edges = np.arange(len(drives) + 1)
     # each arrival event is scheduled while its predecessor fires
-    previous = sim.now
-    end = previous
+    previous = end = sim.now
     total = 0
-    for times, ids in chunks:
-        if not times.size:
-            continue
+
+    def feed(times: np.ndarray, ids: np.ndarray) -> None:
+        nonlocal previous, end, total
         if not (times[0] >= previous and np.isfinite(times[-1])
                 and bool(np.all(times[1:] >= times[:-1]))):
             for t in times.tolist():
@@ -340,110 +353,167 @@ def _replay(cell: _Cell, chunks: Iterator[_Chunk],
                                  completions)
             end = max(end, completions[-1])
         total += times.size
-    if on_exhausted is not None:
-        on_exhausted(total)
-    sink.close_replay()
-    sim.record_replay(end, 2 * total)
-    return total
+
+    def finish() -> None:
+        sink.close_replay()
+        sim.record_replay(end, 2 * total)
+
+    return _Server(feed, finish, lambda: None)
 
 
-def _run_events(cell: _Cell, chunks: Iterator[_Chunk],
-                on_exhausted: Callable[[int], None] | None) -> int:
-    """Stream every arrival of ``chunks`` through the event heap.
+def _event_server(cell: _Cell) -> _Server:
+    """Stream every fed arrival through the event heap, resumably.
 
     Arrivals are streamed (each arrival event schedules the next, at
     ``priority=-1`` so loads land before same-instant model work)
-    rather than pre-loaded, and one chunk is resident at a time.
-    ``on_exhausted`` receives the dispatched total once, when the last
-    chunk is used up.  The kernel runs until the sink stops it from the
-    last completion — policies' periodic tasks keep the queue
-    non-empty, so completion, not queue exhaustion, is the stop
-    condition.  Returns the number of arrivals dispatched.
+    rather than pre-loaded.  When a block's last arrival has been
+    routed the kernel stops; the next ``feed`` schedules that block's
+    first arrival exactly where the previous one would have, so every
+    event keeps the sequence number an unbroken stream gives it.
+    ``finish`` runs the kernel until the sink stops it from the last
+    completion — policies' periodic tasks keep the queue non-empty, so
+    completion, not queue exhaustion, is the stop condition.
     """
     sim = cell.sim
     sizes = cell.array.fileset.sizes_mb.tolist()
     route = cell.policy.route
     schedule_at = sim.schedule_at
+    request_stop = sim.request_stop
     new_request = Request.from_validated
     times: list[float] = []
     ids: list[int] = []
-    i = n = total = 0
-
-    def load_next() -> bool:
-        nonlocal times, ids, i, n, total
-        for block_times, block_ids in chunks:
-            n = block_times.size
-            if n:
-                times, ids = block_times.tolist(), block_ids.tolist()
-                total += n
-                i = 0
-                return True
-        if on_exhausted is not None:
-            on_exhausted(total)
-        return False
+    i = n = 0
 
     def dispatch_next() -> None:
         nonlocal i
         fid = ids[i]
         route(new_request(sim.now, fid, sizes[fid]))
         i += 1
-        if i < n or load_next():
+        if i < n:
             schedule_at(times[i], dispatch_next, priority=-1)
+        else:
+            request_stop()  # the block is spent: wait for the next feed
 
-    try:
-        if load_next():
-            schedule_at(times[0], dispatch_next, priority=-1)
-            sim.run_until_drained()
-    finally:
+    def feed(block_times: np.ndarray, block_ids: np.ndarray) -> None:
+        nonlocal times, ids, i, n
+        times, ids = block_times.tolist(), block_ids.tolist()
+        i, n = 0, len(times)
+        schedule_at(times[0], dispatch_next, priority=-1)
+        sim.run_until_drained()
+
+    def release() -> None:
         # dispatch_next names itself, so its closure is a cycle that only
         # a full GC pass frees: clear that cell, and reference counting
         # frees both closures and the arrival lists they hold
+        nonlocal dispatch_next
         del dispatch_next
-    return total
+
+    return _Server(feed, sim.run_until_drained, release)
+
+
+class _Feed:
+    """Push-based drain of one cell: ``feed`` each block, then ``finish``.
+
+    Every cell is served this way.  The unsharded runner feeds its whole
+    trace as one block (:func:`_drain`); a shard range feeds each of its
+    shards the slice of every stream chunk that the shard owns, so the
+    shards advance in lockstep with one chunk resident at a time.
+    Cells that :func:`_replay_refusal` accepts are served by the exact
+    replay (:func:`_replay_server`), all others on the event heap
+    (:func:`_event_server`); both reach the same results.
+
+    ``wall_clock_s`` sums the seconds spent serving, so it excludes
+    whatever produced the blocks.  On any exception the trace is set
+    aside as ``<path>.partial``; :meth:`abort` does the same for a cell
+    whose *sibling* failed.
+    """
+
+    def __init__(self, cell: _Cell,
+                 on_exhausted: Callable[[int], None] | None = None) -> None:
+        self.cell = cell
+        #: Receives the number of arrivals fed, once, from :meth:`finish`.
+        self.on_exhausted = on_exhausted
+        self.total = 0
+        self.wall_clock_s = 0.0
+        make = _replay_server if _replay_refusal(cell) is None else _event_server
+        self._server: _Server | None = make(cell)
+
+    def feed(self, times: np.ndarray, ids: np.ndarray) -> None:
+        """Serve one block of arrivals (times non-decreasing, ids local)."""
+        if not times.size:
+            return
+        server = self._server
+        assert server is not None, "feed() after finish() or abort()"
+        start = perf_counter()
+        try:
+            server.feed(times, ids)
+        except BaseException:
+            self.abort()
+            raise
+        self.total += times.size
+        self.wall_clock_s += perf_counter() - start
+
+    def finish(self) -> float:
+        """Run the cell to its last completion, then stop the policy.
+
+        A cell that was fed no arrival at all runs nothing (a shard no
+        request targets).  On success the policy (and fault injector)
+        are shut down, at the horizon.  Returns :attr:`wall_clock_s`.
+        """
+        server = self._server
+        assert server is not None, "finish() after finish() or abort()"
+        sink = self.cell.sink
+        try:
+            if self.on_exhausted is not None:
+                self.on_exhausted(self.total)
+            if self.total:
+                start = perf_counter()
+                server.finish()
+                self.wall_clock_s += perf_counter() - start
+                if not sink.all_done:
+                    raise RuntimeError(f"event queue drained with "
+                                       f"{sink.completed}/{self.total} "
+                                       f"requests done")
+        except BaseException:
+            self.abort()
+            raise
+        self._release()
+        if self.cell.injector is not None:
+            self.cell.injector.shutdown()
+        self.cell.policy.shutdown()
+        return self.wall_clock_s
+
+    def abort(self) -> None:
+        """Give up on the cell: set its trace aside as ``<path>.partial``.
+
+        A dying run must not leave a half-written trace where a whole
+        one is expected.  Idempotent.
+        """
+        self._release()
+        if self.cell.writer is not None:
+            self.cell.writer.abort()
+
+    def _release(self) -> None:
+        if self._server is not None:
+            self._server.release()
+            self._server = None
 
 
 def _drain(cell: _Cell, chunks: Iterable[_Chunk],
            on_exhausted: Callable[[int], None] | None = None) -> float:
-    """Serve every arrival of ``chunks``, run to completion, stop the cell.
+    """Feed every block of ``chunks`` to ``cell``, then finish it.
 
-    A materialized trace is a single chunk; a streamed one is served
-    one chunk at a time.  Cells that :func:`_replay_refusal` accepts
-    are served by the exact replay (:func:`_replay`), all others on the
-    event heap (:func:`_run_events`); both reach the same results.  A
-    chunk source with no arrival at all runs nothing (a shard no
-    request targets).
-
-    Returns the wall-clock seconds of the event loop (or the replay)
-    alone.  On any exception the trace is set aside as
-    ``<path>.partial``; on success the policy (and fault injector) are
-    shut down, at the horizon.
+    A materialized trace is a single block.  Returns the wall-clock
+    seconds spent serving (see :class:`_Feed`).
     """
-    sink = cell.sink
-    chunks = iter(chunks)
-    wall_clock_s = 0.0
+    feed = _Feed(cell, on_exhausted)
     try:
-        first = next((chunk for chunk in chunks if chunk[0].size), None)
-        if first is None:
-            if on_exhausted is not None:
-                on_exhausted(0)
-        else:
-            serve = _replay if _replay_refusal(cell) is None else _run_events
-            wall_start = perf_counter()
-            total = serve(cell, chain([first], chunks), on_exhausted)
-            wall_clock_s = perf_counter() - wall_start
-            if not sink.all_done:
-                raise RuntimeError(f"event queue drained with "
-                                   f"{sink.completed}/{total} requests done")
+        for times, ids in chunks:
+            feed.feed(times, ids)
     except BaseException:
-        # a dying run must not leave a half-written trace where a whole
-        # one is expected: set it aside as <path>.partial
-        if cell.writer is not None:
-            cell.writer.abort()
+        feed.abort()
         raise
-    if cell.injector is not None:
-        cell.injector.shutdown()
-    cell.policy.shutdown()
-    return wall_clock_s
+    return feed.finish()
 
 
 def run_simulation(policy: Policy, fileset: FileSet, trace: Trace, *,

@@ -10,6 +10,18 @@ simulated by its own event kernel over the *streamed* workload
 list), and then merging the per-shard partial results into one
 :class:`~repro.experiments.metrics.SimulationResult`.
 
+One stream pass per range
+-------------------------
+The fan-out unit is a contiguous range of one cell's shards
+(:class:`ShardCellSpec`); :func:`run_sharded_cells` cuts each cell into
+``min(jobs, n_shards)`` even ranges, or one shard per range when the
+sweep is journaled (resume granularity stays one shard).  A worker
+opens the stream once for its range, splits every chunk by owning
+shard (one ``shard_of_files`` lookup, one stable sort) and pushes each
+slice into that shard's cell through the runner's push-based feed, so
+the range's shards advance in lockstep with one chunk resident at a
+time.  Generation is thus paid once per range, not once per shard.
+
 Determinism contract (DESIGN.md Sec. 12)
 ----------------------------------------
 The merge reduces in a *fixed order* — shards by index, disks by global
@@ -31,12 +43,12 @@ single accounting step.  Consequences, all enforced by the test suite:
 
 One cell assembly
 -----------------
-A shard is built and drained by the same two functions as an unsharded
-cell (:mod:`repro.experiments.runner`: ``_build_cell`` and ``_drain``),
+A shard is built and drained by the same two pieces as an unsharded
+cell (:mod:`repro.experiments.runner`: ``_build_cell`` and ``_Feed``),
 so ``n_shards=1`` equals :func:`~repro.experiments.runner.run_simulation`
 on every physical field for every policy.  Three things differ, all
-passed in as data: the arrival source (stream chunks filtered to the
-shard's files), the completion sink (constant-memory per-disk sums plus
+passed in as data: the arrival source (the shard's slice of each
+stream chunk), the completion sink (constant-memory per-disk sums plus
 a fixed histogram, :class:`_ShardMetrics`), and the close step (open
 ledgers captured for the merge instead of ``DiskArray.finalize``).
 
@@ -76,7 +88,6 @@ from time import perf_counter
 from typing import (
     TYPE_CHECKING,
     Callable,
-    Iterator,
     Mapping,
     Optional,
     Sequence,
@@ -94,7 +105,7 @@ from repro.experiments.parallel import RunSpec, run_cells
 from repro.experiments.runner import (
     _build_cell,
     _default_press,
-    _drain,
+    _Feed,
     make_policy,
 )
 from repro.faults import FaultConfig
@@ -126,6 +137,7 @@ __all__ = [
     "ShardPlan",
     "ShardCellSpec",
     "ShardCellResult",
+    "ShardRangeResult",
     "run_shard_cell",
     "merge_shard_results",
     "run_sharded",
@@ -247,17 +259,32 @@ class ShardPlan:
 
 @dataclass(frozen=True, slots=True)
 class ShardCellSpec:
-    """The shard-specific half of a fan-out :class:`RunSpec`."""
+    """The shard-specific half of a fan-out :class:`RunSpec`.
+
+    Names a contiguous range of one cell's shards, ``index`` to
+    ``index + count - 1``; one worker serves the whole range from a
+    single pass over the stream (:func:`run_shard_cell`).
+    """
 
     plan: ShardPlan
+    #: First shard of the range.
     index: int
     chunk_size: int = DEFAULT_CHUNK_SIZE
+    #: Shards in the range.
+    count: int = 1
 
     def __post_init__(self) -> None:
-        require(0 <= self.index < self.plan.n_shards,
-                f"shard index out of range: {self.index}")
+        require(self.count >= 1, f"count must be >= 1, got {self.count}")
+        require(0 <= self.index and self.index + self.count <= self.plan.n_shards,
+                f"shard range out of bounds: {self.index}..."
+                f"{self.index + self.count - 1} of {self.plan.n_shards}")
         require(self.chunk_size >= 1,
                 f"chunk_size must be >= 1, got {self.chunk_size}")
+
+    @property
+    def indices(self) -> range:
+        """The shard indices of the range."""
+        return range(self.index, self.index + self.count)
 
 
 # ----------------------------------------------------------------------
@@ -309,6 +336,24 @@ class ShardCellResult:
     #: disk after its shard drains, so these are the values every
     #: synthesized post-end sample row reports.
     final_disk_state: tuple[tuple[str, str, int], ...] = ()
+
+
+@dataclass(frozen=True, slots=True)
+class ShardRangeResult:
+    """The partial results of a range of two or more shards, by index.
+
+    Carries the two figures the sweep harness logs for any cell.
+    """
+
+    shards: tuple[ShardCellResult, ...]
+
+    @property
+    def wall_clock_s(self) -> float:
+        return sum(r.wall_clock_s for r in self.shards)
+
+    @property
+    def events_executed(self) -> int:
+        return sum(r.events_executed for r in self.shards)
 
 
 class _ShardMetrics:
@@ -422,17 +467,26 @@ def _require_shardable(faults: Optional[FaultConfig],
             "unsharded run instead)")
 
 
-def run_shard_cell(spec: RunSpec) -> ShardCellResult:
-    """Simulate one shard of one cell over the streamed workload.
+def run_shard_cell(spec: RunSpec) -> "ShardCellResult | ShardRangeResult":
+    """Simulate one range of shards of one cell over one stream pass.
 
-    Builds and drains the shard with the same cell assembly as
-    :func:`repro.experiments.runner.run_simulation`
-    (``_build_cell``/``_drain``); three things differ: (a) arrivals come
-    from stream chunks filtered to this shard's files instead of a
-    materialized trace, (b) the completion sink is constant-memory
-    (per-disk sums + a fixed histogram), and (c) the close step captures
-    the drives' ledgers *open* instead of finalizing them, so the merge
-    can close them at the global end time.
+    Each shard is built with the same cell assembly as
+    :func:`repro.experiments.runner.run_simulation` (``_build_cell``)
+    and served by the same push-based feed (``_Feed``).  The stream is
+    opened and generated once for the whole range: every chunk is split
+    by owning shard (one lookup and a stable sort) and each slice is fed
+    to its shard, so the range's shards advance in lockstep with one
+    chunk resident at a time.  Three things differ from an unsharded
+    cell: (a) arrivals are that slice of each chunk under shard-local
+    file ids, (b) the completion sink is constant-memory (per-disk sums
+    + a fixed histogram), and (c) the close step captures the drives'
+    ledgers *open* instead of finalizing them, so the merge can close
+    them at the global end time.
+
+    A one-shard range returns its :class:`ShardCellResult`; a longer
+    one returns a :class:`ShardRangeResult`.  If any shard of the range
+    fails, every trace segment of the range is set aside as
+    ``<segment>.partial`` and none is published.
     """
     shard = spec.shard
     require(shard is not None, "run_shard_cell needs a spec with shard set")
@@ -444,25 +498,111 @@ def run_shard_cell(spec: RunSpec) -> ShardCellResult:
 
     stream = open_stream(spec.workload)
     fileset = stream.fileset
-    mine = plan.shard_of_files(fileset) == shard.index
-    my_files = np.flatnonzero(mine)
+    shard_of = plan.shard_of_files(fileset)
+    # files grouped by shard, global id order within each group; a
+    # file's local id is its position in its shard's group.  Local ids
+    # preserving global id order make a shard-local stable size sort
+    # equal the global sort restricted to the shard — the keystone of
+    # the affinity assignment's unsharded-equality proof.
+    grouped = np.argsort(shard_of, kind="stable")
+    bounds = np.searchsorted(shard_of[grouped], np.arange(plan.n_shards + 1))
+    local_id = np.empty(len(fileset), dtype=np.int64)
+    local_id[grouped] = (np.arange(len(fileset), dtype=np.int64)
+                         - np.repeat(bounds[:-1], np.diff(bounds)))
+
+    runs: list[_ShardRun] = []
+    try:
+        for s in shard.indices:
+            runs.append(_open_shard(spec, s, fileset,
+                                    grouped[bounds[s]:bounds[s + 1]]))
+        edges = np.arange(shard.index, shard.index + shard.count + 1)
+        for chunk in stream.chunks(shard.chunk_size):
+            owner = shard_of[chunk.file_ids]
+            order = np.argsort(owner, kind="stable")
+            cuts = np.searchsorted(owner[order], edges).tolist()
+            times = chunk.times_s[order]
+            ids = local_id[chunk.file_ids[order]]
+            for k, run in enumerate(runs):
+                lo, hi = cuts[k], cuts[k + 1]
+                if lo < hi:
+                    run.feed.feed(times[lo:hi], ids[lo:hi])
+        # a shard no request ever targets drains nothing: its disks
+        # idle from t=0 to the global end, and the merge's ledger close
+        # accounts all of it
+        for run in runs:
+            run.feed.finish()
+        results = tuple(run.close() for run in runs)
+    except BaseException:
+        # no segment of a failed range is published
+        for run in runs:
+            run.feed.abort()
+        raise
+    return results[0] if len(results) == 1 else ShardRangeResult(results)
+
+
+@dataclass(slots=True)
+class _ShardRun:
+    """One shard of a range: its cell, its feed and its trace segment."""
+
+    index: int
+    plan: ShardPlan
+    feed: _Feed
+    segment: Optional[str]
+
+    def close(self) -> ShardCellResult:
+        """Stop the cell and capture its open partial result."""
+        cell = self.feed.cell
+        duration = cell.sim.now
+        # deliberately NO final sample_now(): the merge replays the global
+        # ticks this shard drained before and closes the series at the
+        # *global* end time
+        cell.close()
+        # capture the ledgers OPEN (no array.finalize()): the final
+        # accounting step belongs to the merge, at the global end time
+        drives = cell.array.drives
+        sampler, registry, writer = cell.sampler, cell.registry, cell.writer
+        metrics = cast(_ShardMetrics, cell.sink)
+        resp_sum, wait_sum, counts, hist = metrics.snapshot()
+        return ShardCellResult(
+            shard_index=self.index,
+            plan=self.plan,
+            policy_name=cell.policy.name,
+            duration_s=duration,
+            n_requests=metrics.completed,
+            ledgers=tuple(drive.open_ledger() for drive in drives),
+            response_sum_s=resp_sum,
+            wait_sum_s=wait_sum,
+            response_count=counts,
+            response_hist=hist,
+            events_executed=cell.sim.events_executed,
+            wall_clock_s=self.feed.wall_clock_s,
+            policy_detail=cell.policy.describe(),
+            trace_segment=self.segment,
+            trace_events=writer.events_written if writer is not None else 0,
+            sample_rows=sampler.series().rows if sampler is not None else (),
+            sample_interval_s=sampler.interval_s if sampler is not None else None,
+            metrics=registry.as_dict() if registry is not None else None,
+            final_disk_state=() if sampler is None else tuple(
+                (drive.speed.name.lower(), drive.phase.value, drive.queue_length)
+                for drive in drives),
+        )
+
+
+def _open_shard(spec: RunSpec, index: int, fileset: FileSet,
+                my_files: np.ndarray) -> _ShardRun:
+    """Build shard ``index``'s cell over the files it owns, ready to feed."""
+    assert spec.shard is not None  # for the type checker
+    plan = spec.shard.plan
     # A file-less shard can't even build its array (and policies act on
     # drives their fileset implies), so degenerate splits are rejected
     # rather than approximated.  Affinity assignment guarantees every
     # shard owns files whenever n_files >= n_disks.
     require(my_files.size > 0,
-            f"shard {shard.index} owns no files "
+            f"shard {index} owns no files "
             f"({len(fileset)} files across {plan.n_shards} shards); "
             f"use fewer shards or more files")
-    # local file ids preserve global id order, so a shard-local stable
-    # size sort equals the global sort restricted to this shard — the
-    # keystone of the affinity assignment's unsharded-equality proof
-    local_id = np.full(len(fileset), -1, dtype=np.int64)
-    local_id[my_files] = np.arange(my_files.size, dtype=np.int64)
-    local_fileset = FileSet(fileset.sizes_mb[my_files])
-
     obs = spec.obs
-    offset = plan.disk_offset(shard.index)
+    offset = plan.disk_offset(index)
     # The bus remaps local ids to global at emission — disk-carrying
     # fields shift by the shard's disk offset, file ids go through the
     # shard's local->global file table — and tags every event with the
@@ -470,64 +610,23 @@ def run_shard_cell(spec: RunSpec) -> ShardCellResult:
     segment: Optional[str] = None
     id_maps: Optional[dict[str, Callable[[int], int]]] = None
     if obs is not None and obs.trace_path is not None:
-        segment = str(shard_segment_path(obs.trace_path, shard.index))
+        segment = str(shard_segment_path(obs.trace_path, index))
         my_files_py = my_files.tolist()
         shift: Callable[[int], int] = lambda v, _o=offset: v + _o  # noqa: E731
         id_maps = {"disk": shift, "src": shift, "dst": shift,
                    "file": lambda v, _f=my_files_py: _f[v]}
     cell = _build_cell(
-        make_policy(spec.policy, **dict(spec.policy_kwargs)), local_fileset,
+        make_policy(spec.policy, **dict(spec.policy_kwargs)),
+        FileSet(fileset.sizes_mb[my_files]),
         n_disks=plan.disks_per_shard, disk_params=spec.disk_params,
         initial_speed=spec.initial_speed,
         queue_discipline=spec.queue_discipline, obs=obs,
-        trace_path=segment, tags={"shard": shard.index}, id_maps=id_maps,
+        trace_path=segment, tags={"shard": index}, id_maps=id_maps,
         disk_offset=offset,
         make_sink=lambda stop: _ShardMetrics(plan.disks_per_shard,
                                              on_all_done=stop))
-    metrics: _ShardMetrics = cell.sink
-
-    # hold one filtered chunk at a time; a shard no request ever targets
-    # drains nothing: its disks idle from t=0 to the global end, and the
-    # merge's ledger close accounts all of it
-    def filtered_chunks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for chunk in stream.chunks(shard.chunk_size):
-            keep = mine[chunk.file_ids]
-            yield chunk.times_s[keep], local_id[chunk.file_ids[keep]]
-
-    wall_clock_s = _drain(cell, filtered_chunks(), metrics.on_exhausted)
-    duration = cell.sim.now
-    # deliberately NO final sample_now(): the merge replays the global
-    # ticks this shard drained before and closes the series at the
-    # *global* end time
-    cell.close()
-    # capture the ledgers OPEN (no array.finalize()): the final
-    # accounting step belongs to the merge, at the global end time
-    drives = cell.array.drives
-    sampler, registry, writer = cell.sampler, cell.registry, cell.writer
-    resp_sum, wait_sum, counts, hist = metrics.snapshot()
-    return ShardCellResult(
-        shard_index=shard.index,
-        plan=plan,
-        policy_name=cell.policy.name,
-        duration_s=duration,
-        n_requests=metrics.completed,
-        ledgers=tuple(drive.open_ledger() for drive in drives),
-        response_sum_s=resp_sum,
-        wait_sum_s=wait_sum,
-        response_count=counts,
-        response_hist=hist,
-        events_executed=cell.sim.events_executed,
-        wall_clock_s=wall_clock_s,
-        policy_detail=cell.policy.describe(),
-        trace_segment=segment,
-        trace_events=writer.events_written if writer is not None else 0,
-        sample_rows=sampler.series().rows if sampler is not None else (),
-        sample_interval_s=sampler.interval_s if sampler is not None else None,
-        metrics=registry.as_dict() if registry is not None else None,
-        final_disk_state=() if sampler is None else tuple(
-            (drive.speed.name.lower(), drive.phase.value, drive.queue_length)
-            for drive in drives),
-    )
+    return _ShardRun(index=index, plan=plan,
+                     feed=_Feed(cell, cell.sink.on_exhausted), segment=segment)
 
 
 # ----------------------------------------------------------------------
@@ -763,8 +862,19 @@ def merge_shard_results(results: Sequence[ShardCellResult],
 
 
 # ----------------------------------------------------------------------
-# the fan-out: one batch of shard sub-cells, one merge per cell
+# the fan-out: one batch of shard ranges, one merge per cell
 # ----------------------------------------------------------------------
+def _shard_ranges(n_shards: int, parts: int) -> list[tuple[int, int]]:
+    """``(first, count)`` of ``parts`` even, contiguous shard ranges."""
+    base, extra = divmod(n_shards, parts)
+    ranges, first = [], 0
+    for p in range(parts):
+        count = base + (1 if p < extra else 0)
+        ranges.append((first, count))
+        first += count
+    return ranges
+
+
 def run_sharded_cells(cells: Sequence[RunSpec], *, n_shards: int,
                       assignment: str = "affinity",
                       chunk_size: int = DEFAULT_CHUNK_SIZE,
@@ -776,35 +886,47 @@ def run_sharded_cells(cells: Sequence[RunSpec], *, n_shards: int,
                                  "Optional[ResilienceSummary]"]:
     """Run every cell sharded, returning one merged result per cell.
 
-    Each cell (an ordinary :class:`RunSpec`) fans out into ``n_shards``
-    streamed sub-cells; ALL sub-cells of ALL cells go through one
-    :func:`~repro.experiments.parallel.run_cells` batch (or, with
-    ``resilience``/``checkpoint``, one
-    :func:`~repro.experiments.resilience.run_cells_resilient` batch), so
-    ``jobs`` workers, retries/timeouts, one checkpoint file and one
-    harness fault ledger cover them all, and resume granularity is one
-    shard.  The partials are then merged per cell in fixed reduction
-    order, each merge emitting a ``harness.shard.merge`` span on the
-    harness ``bus``.  The summary is ``None`` when neither
-    ``resilience`` nor ``checkpoint`` was given.
+    Each cell (an ordinary :class:`RunSpec`) fans out into
+    ``min(jobs, n_shards)`` even, contiguous shard ranges, each of which
+    one worker serves from a single stream pass
+    (:func:`run_shard_cell`).  With ``resilience`` or ``checkpoint``
+    every range is one shard instead, so resume granularity is one
+    shard.  ALL ranges of ALL cells go through one
+    :func:`~repro.experiments.parallel.run_cells` batch (or one
+    :func:`~repro.experiments.resilience.run_cells_resilient` batch),
+    so ``jobs`` workers, retries/timeouts, one checkpoint file and one
+    harness fault ledger cover them all.  The partials are then merged
+    per cell in fixed reduction order, each merge emitting a
+    ``harness.shard.merge`` span on the harness ``bus``.  The summary is
+    ``None`` when neither ``resilience`` nor ``checkpoint`` was given.
     """
+    require(jobs >= 1, f"jobs must be >= 1, got {jobs}")
     for cell in cells:
         _require_shardable(cell.faults, cell.redundancy, cell.obs)
+    journaled = resilience is not None or checkpoint is not None
     specs = []
     for cell in cells:
         plan = ShardPlan(n_disks=cell.n_disks, n_shards=n_shards,
                          assignment=assignment)
-        specs += [replace(cell, shard=ShardCellSpec(plan, s, chunk_size))
-                  for s in range(n_shards)]
+        ranges = _shard_ranges(n_shards, n_shards if journaled
+                               else min(jobs, n_shards))
+        specs += [replace(cell, shard=ShardCellSpec(plan, first, chunk_size,
+                                                    count))
+                  for first, count in ranges]
     summary: "Optional[ResilienceSummary]" = None
-    if resilience is not None or checkpoint is not None:
+    if journaled:
         from repro.experiments.resilience import run_cells_resilient
 
         raw, summary = run_cells_resilient(specs, jobs=jobs, config=resilience,
                                            checkpoint=checkpoint, bus=bus)
     else:
         raw = run_cells(specs, jobs=jobs)
-    partials = cast("list[ShardCellResult]", raw)
+    # one-shard ranges come back bare, longer ones as a ShardRangeResult
+    outputs = cast("list[ShardCellResult | ShardRangeResult]", raw)
+    partials = [part for result in outputs
+                for part in (result.shards
+                             if isinstance(result, ShardRangeResult)
+                             else (result,))]
     merged = []
     for k, cell in enumerate(cells):
         merge_start = perf_counter()

@@ -8,7 +8,7 @@ writer atomically republishes the JSON document (tmp + ``os.replace``),
 throttled to at most one write per ``min_interval_s`` of wall clock, so
 a reader (``repro obs status status.json``, a dashboard, ``watch``)
 never observes a torn file and the write amplification stays bounded
-no matter how many shard sub-cells the sweep fans out.
+no matter how many shard ranges the sweep fans out.
 
 The document is operational telemetry, not a result artifact: it
 carries wall-clock durations and host RSS, so its bytes are *not*
@@ -18,7 +18,7 @@ deterministic — unlike every other file the obs layer writes.  Schema
 ``state``
     ``"running"`` until the sweep's final publish flips it to ``"done"``.
 ``cells_total`` / ``cells_done`` / ``cells_running``
-    Progress in cells (shard sub-cells count individually); restored
+    Progress in cells (each shard range counts as one); restored
     checkpoint cells count as done.  ``cells_running`` lists in-flight
     cell labels.
 ``events_executed`` / ``events_per_sec``

@@ -27,8 +27,8 @@ Two implementations of the :class:`RequestStream` protocol:
      from one generator.  The stream clones the seed and runs the
      arrival draws to exhaustion (discarding them) to position the rank
      generator, trading one cheap extra pass for O(chunk) memory; the
-     positioned state is memoized per process, so the shards of one
-     cell pay that pass once.
+     positioned state is memoized per process, so streams of one
+     workload opened again in that process skip it.
 
 * :class:`WC98Stream` — the chunked twin of
   :func:`~repro.workload.wc98.wc98_to_trace` over the binary WorldCup98
@@ -155,9 +155,12 @@ def _positioned_rank_rng(cfg: SyntheticWorkloadConfig,
 
     The batch path draws all arrivals, then all ranks, from one
     generator; the stream replays the arrival draws (discarded) to get
-    there.  That pre-pass costs as much as drawing the arrivals, and
-    every shard of a sharded cell streams the same workload, so the
-    positioned state is kept in a small in-process memo.
+    there.  That pre-pass costs as much as drawing the arrivals.  A
+    shard range opens its stream once, but one process still opens the
+    same workload again: the one-shard ranges of a journaled sweep, the
+    cells of a sweep that share a workload, and every repeat of a
+    benchmark cell.  So the positioned state is kept in a small
+    in-process memo.
     """
     rng = rng_from(cfg.seed + 2)
     for known, size, state in _RANK_RNG_STATES:
