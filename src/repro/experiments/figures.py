@@ -169,11 +169,12 @@ def figure7_comparison(config: ExperimentConfig | None = None, *,
     ``shards`` switches every cell to sharded streamed execution (see
     :mod:`repro.experiments.shard`): each array is split into ``shards``
     disk groups simulated independently and merged in fixed reduction
-    order.  A cell's shards fan out as ``min(jobs, shards)`` contiguous
-    ranges, each served from one stream pass; under ``resilience`` or
-    ``checkpoint`` every range is one shard, so the pool/checkpoint
-    machinery applies per *shard*, not per cell.  ``shards`` must divide every entry
-    of ``disk_counts``; incompatible with ``faults``.  ``obs`` composes
+    order.  Each cell is served from one stream pass when there are no
+    more ``jobs`` than cells, and shard by shard otherwise; under
+    ``resilience`` or ``checkpoint`` every shard is its own task, so the
+    pool/checkpoint machinery applies per *shard*, not per cell.
+    ``shards`` must divide every entry of ``disk_counts``; incompatible
+    with ``faults``.  ``obs`` composes
     with ``shards``: each shard runs its own telemetry stack
     (shard-tagged events under global disk ids) and the merge federates
     the segments into the cell's named trace/metrics artifacts (see

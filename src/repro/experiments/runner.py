@@ -188,9 +188,13 @@ class _Cell:
     profiler: KernelProfiler | None
     injector: FaultInjector | None
 
-    def close(self) -> None:
+    def close(self, publish: bool = True) -> None:
         """Stop sampling, publish the trace (after the caller's close
         step), and break the cell's reference cycles.
+
+        ``publish=False`` leaves the trace writer open for the caller to
+        publish or abort (a shard range publishes only once every shard
+        is captured).
 
         The kernel runs no further, so its pending events, the policy's
         drive hooks and completion callback, and the sink's stop
@@ -199,7 +203,7 @@ class _Cell:
         """
         if self.sampler is not None:
             self.sampler.shutdown()
-        if self.writer is not None:
+        if self.writer is not None and publish:
             self.writer.close()
         self.sim.discard_pending()
         self.array.set_idle_handler(None)
@@ -374,7 +378,7 @@ def _event_server(cell: _Cell) -> _Server:
     completion — policies' periodic tasks keep the queue non-empty, so
     completion, not queue exhaustion, is the stop condition.
     """
-    sim = cell.sim
+    sim, sink = cell.sim, cell.sink
     sizes = cell.array.fileset.sizes_mb.tolist()
     route = cell.policy.route
     schedule_at = sim.schedule_at
@@ -401,6 +405,13 @@ def _event_server(cell: _Cell) -> _Server:
         schedule_at(times[0], dispatch_next, priority=-1)
         sim.run_until_drained()
 
+    def finish() -> None:
+        # the last arrival may already have ended the run (a request
+        # that fails permanently inside route): the kernel's periodic
+        # tasks would keep a restarted run going past the horizon
+        if not sink.all_done:
+            sim.run_until_drained()
+
     def release() -> None:
         # dispatch_next names itself, so its closure is a cycle that only
         # a full GC pass frees: clear that cell, and reference counting
@@ -408,7 +419,7 @@ def _event_server(cell: _Cell) -> _Server:
         nonlocal dispatch_next
         del dispatch_next
 
-    return _Server(feed, sim.run_until_drained, release)
+    return _Server(feed, finish, release)
 
 
 class _Feed:

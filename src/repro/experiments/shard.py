@@ -13,14 +13,17 @@ list), and then merging the per-shard partial results into one
 One stream pass per range
 -------------------------
 The fan-out unit is a contiguous range of one cell's shards
-(:class:`ShardCellSpec`); :func:`run_sharded_cells` cuts each cell into
-``min(jobs, n_shards)`` even ranges, or one shard per range when the
-sweep is journaled (resume granularity stays one shard).  A worker
-opens the stream once for its range, splits every chunk by owning
-shard (one ``shard_of_files`` lookup, one stable sort) and pushes each
-slice into that shard's cell through the runner's push-based feed, so
-the range's shards advance in lockstep with one chunk resident at a
-time.  Generation is thus paid once per range, not once per shard.
+(:class:`ShardCellSpec`).  :func:`run_sharded_cells` gives each cell
+one range of all its shards while the cells alone keep every worker
+busy (``jobs <= len(cells)``, so always at ``jobs=1``), and one shard
+per range otherwise, so the pool can balance uneven shards; journaled
+sweeps also run one shard per range (resume granularity stays one
+shard).  A worker opens the stream once for its range, splits every
+chunk by owning shard (one ``shard_of_files`` lookup, then one mask
+per shard) and pushes each slice into that shard's cell through the
+runner's push-based feed, so the range's shards advance in lockstep
+with one chunk resident at a time.  Generation is thus paid once per
+range, not once per shard.
 
 Determinism contract (DESIGN.md Sec. 12)
 ----------------------------------------
@@ -474,9 +477,9 @@ def run_shard_cell(spec: RunSpec) -> "ShardCellResult | ShardRangeResult":
     :func:`repro.experiments.runner.run_simulation` (``_build_cell``)
     and served by the same push-based feed (``_Feed``).  The stream is
     opened and generated once for the whole range: every chunk is split
-    by owning shard (one lookup and a stable sort) and each slice is fed
-    to its shard, so the range's shards advance in lockstep with one
-    chunk resident at a time.  Three things differ from an unsharded
+    by owning shard (one lookup, then one mask per shard) and each
+    slice is fed to its shard, so the range's shards advance in
+    lockstep with one chunk resident at a time.  Three things differ from an unsharded
     cell: (a) arrivals are that slice of each chunk under shard-local
     file ids, (b) the completion sink is constant-memory (per-disk sums
     + a fixed histogram), and (c) the close step captures the drives'
@@ -484,9 +487,10 @@ def run_shard_cell(spec: RunSpec) -> "ShardCellResult | ShardRangeResult":
     them at the global end time.
 
     A one-shard range returns its :class:`ShardCellResult`; a longer
-    one returns a :class:`ShardRangeResult`.  If any shard of the range
-    fails, every trace segment of the range is set aside as
-    ``<segment>.partial`` and none is published.
+    one returns a :class:`ShardRangeResult`.  Trace segments are
+    published only once every shard of the range has been served and
+    captured: if any shard fails before that, every segment of the
+    range is set aside as ``<segment>.partial`` and none is published.
     """
     shard = spec.shard
     require(shard is not None, "run_shard_cell needs a spec with shard set")
@@ -499,41 +503,35 @@ def run_shard_cell(spec: RunSpec) -> "ShardCellResult | ShardRangeResult":
     stream = open_stream(spec.workload)
     fileset = stream.fileset
     shard_of = plan.shard_of_files(fileset)
-    # files grouped by shard, global id order within each group; a
-    # file's local id is its position in its shard's group.  Local ids
-    # preserving global id order make a shard-local stable size sort
-    # equal the global sort restricted to the shard — the keystone of
-    # the affinity assignment's unsharded-equality proof.
-    grouped = np.argsort(shard_of, kind="stable")
-    bounds = np.searchsorted(shard_of[grouped], np.arange(plan.n_shards + 1))
-    local_id = np.empty(len(fileset), dtype=np.int64)
-    local_id[grouped] = (np.arange(len(fileset), dtype=np.int64)
-                         - np.repeat(bounds[:-1], np.diff(bounds)))
-
+    # a file's local id is its position among its shard's files in
+    # global id order.  Local ids preserving global id order make a
+    # shard-local stable size sort equal the global sort restricted to
+    # the shard — the keystone of the affinity assignment's
+    # unsharded-equality proof.
+    local_id = np.full(len(fileset), -1, dtype=np.int64)
     runs: list[_ShardRun] = []
     try:
         for s in shard.indices:
-            runs.append(_open_shard(spec, s, fileset,
-                                    grouped[bounds[s]:bounds[s + 1]]))
-        edges = np.arange(shard.index, shard.index + shard.count + 1)
+            my_files = np.flatnonzero(shard_of == s)
+            local_id[my_files] = np.arange(my_files.size, dtype=np.int64)
+            runs.append(_open_shard(spec, s, fileset, my_files))
         for chunk in stream.chunks(shard.chunk_size):
             owner = shard_of[chunk.file_ids]
-            order = np.argsort(owner, kind="stable")
-            cuts = np.searchsorted(owner[order], edges).tolist()
-            times = chunk.times_s[order]
-            ids = local_id[chunk.file_ids[order]]
-            for k, run in enumerate(runs):
-                lo, hi = cuts[k], cuts[k + 1]
-                if lo < hi:
-                    run.feed.feed(times[lo:hi], ids[lo:hi])
+            for run in runs:
+                keep = owner == run.index
+                run.feed.feed(chunk.times_s[keep],
+                              local_id[chunk.file_ids[keep]])
         # a shard no request ever targets drains nothing: its disks
         # idle from t=0 to the global end, and the merge's ledger close
         # accounts all of it
         for run in runs:
             run.feed.finish()
-        results = tuple(run.close() for run in runs)
+        results = tuple(run.capture() for run in runs)
+        # publish only once every shard of the range is captured
+        for run in runs:
+            run.publish()
     except BaseException:
-        # no segment of a failed range is published
+        # no segment of a range that failed before publishing is kept
         for run in runs:
             run.feed.abort()
         raise
@@ -549,14 +547,17 @@ class _ShardRun:
     feed: _Feed
     segment: Optional[str]
 
-    def close(self) -> ShardCellResult:
-        """Stop the cell and capture its open partial result."""
+    def capture(self) -> ShardCellResult:
+        """Stop the cell and capture its open partial result.
+
+        The trace segment stays unpublished (:meth:`publish`).
+        """
         cell = self.feed.cell
         duration = cell.sim.now
         # deliberately NO final sample_now(): the merge replays the global
         # ticks this shard drained before and closes the series at the
         # *global* end time
-        cell.close()
+        cell.close(publish=False)
         # capture the ledgers OPEN (no array.finalize()): the final
         # accounting step belongs to the merge, at the global end time
         drives = cell.array.drives
@@ -586,6 +587,11 @@ class _ShardRun:
                 (drive.speed.name.lower(), drive.phase.value, drive.queue_length)
                 for drive in drives),
         )
+
+    def publish(self) -> None:
+        """Publish the captured shard's trace segment."""
+        if self.feed.cell.writer is not None:
+            self.feed.cell.writer.close()
 
 
 def _open_shard(spec: RunSpec, index: int, fileset: FileSet,
@@ -864,17 +870,6 @@ def merge_shard_results(results: Sequence[ShardCellResult],
 # ----------------------------------------------------------------------
 # the fan-out: one batch of shard ranges, one merge per cell
 # ----------------------------------------------------------------------
-def _shard_ranges(n_shards: int, parts: int) -> list[tuple[int, int]]:
-    """``(first, count)`` of ``parts`` even, contiguous shard ranges."""
-    base, extra = divmod(n_shards, parts)
-    ranges, first = [], 0
-    for p in range(parts):
-        count = base + (1 if p < extra else 0)
-        ranges.append((first, count))
-        first += count
-    return ranges
-
-
 def run_sharded_cells(cells: Sequence[RunSpec], *, n_shards: int,
                       assignment: str = "affinity",
                       chunk_size: int = DEFAULT_CHUNK_SIZE,
@@ -886,12 +881,14 @@ def run_sharded_cells(cells: Sequence[RunSpec], *, n_shards: int,
                                  "Optional[ResilienceSummary]"]:
     """Run every cell sharded, returning one merged result per cell.
 
-    Each cell (an ordinary :class:`RunSpec`) fans out into
-    ``min(jobs, n_shards)`` even, contiguous shard ranges, each of which
-    one worker serves from a single stream pass
-    (:func:`run_shard_cell`).  With ``resilience`` or ``checkpoint``
-    every range is one shard instead, so resume granularity is one
-    shard.  ALL ranges of ALL cells go through one
+    Each cell (an ordinary :class:`RunSpec`) is served from a single
+    stream pass, as one range of all its shards
+    (:func:`run_shard_cell`), when there are no more workers than
+    cells.  With more workers than cells, or with ``resilience`` or
+    ``checkpoint``, every shard is its own range instead: the pool then
+    balances the shards as they finish (contiguous ranges would inherit
+    the affinity assignment's load gradient), and resume granularity is
+    one shard.  ALL ranges of ALL cells go through one
     :func:`~repro.experiments.parallel.run_cells` batch (or one
     :func:`~repro.experiments.resilience.run_cells_resilient` batch),
     so ``jobs`` workers, retries/timeouts, one checkpoint file and one
@@ -904,15 +901,19 @@ def run_sharded_cells(cells: Sequence[RunSpec], *, n_shards: int,
     for cell in cells:
         _require_shardable(cell.faults, cell.redundancy, cell.obs)
     journaled = resilience is not None or checkpoint is not None
+    # a whole cell per range while the cells keep every worker busy;
+    # past that, single shards, which the pool balances as they finish
+    whole = not journaled and jobs <= len(cells)
     specs = []
     for cell in cells:
         plan = ShardPlan(n_disks=cell.n_disks, n_shards=n_shards,
                          assignment=assignment)
-        ranges = _shard_ranges(n_shards, n_shards if journaled
-                               else min(jobs, n_shards))
-        specs += [replace(cell, shard=ShardCellSpec(plan, first, chunk_size,
-                                                    count))
-                  for first, count in ranges]
+        if whole:
+            specs.append(replace(cell, shard=ShardCellSpec(
+                plan, 0, chunk_size, n_shards)))
+        else:
+            specs += [replace(cell, shard=ShardCellSpec(plan, s, chunk_size))
+                      for s in range(n_shards)]
     summary: "Optional[ResilienceSummary]" = None
     if journaled:
         from repro.experiments.resilience import run_cells_resilient

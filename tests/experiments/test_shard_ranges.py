@@ -11,7 +11,10 @@ of the range from a single pass over the stream.  These tests pin:
   into ranges, on the replayed path (static-high FCFS) and on the event
   path (static-high SJF, read), with chunks small enough that blocks
   end mid-burst;
-* that a failure inside a range publishes none of its trace segments.
+* how a batch of cells fans out: one range per cell, or one per shard
+  when there are more workers than cells;
+* that a failure inside a range, while serving or while closing,
+  publishes none of its trace segments.
 """
 
 import dataclasses
@@ -111,6 +114,39 @@ class TestStreamPasses:
         monkeypatch.setattr(SyntheticStream, "chunks", counting)
         _run("read", jobs=1)
         assert sum(drawn) == CFG.n_requests
+
+
+class TestRangesPerCell:
+    @pytest.fixture
+    def fanned_out(self, monkeypatch):
+        """The shard ranges each batch fans out into (served serially)."""
+        batches: list[list[tuple[int, int]]] = []
+        original = shard_module.run_cells
+
+        def serial(specs, jobs):
+            batches.append([(spec.shard.index, spec.shard.count)
+                            for spec in specs])
+            return original(specs, jobs=1)
+
+        monkeypatch.setattr(shard_module, "run_cells", serial)
+        return batches
+
+    @pytest.mark.parametrize("n_cells, jobs, ranges", [
+        (1, 1, [(0, 4)]),
+        (2, 2, [(0, 4)] * 2),
+        (3, 2, [(0, 4)] * 3),
+        (1, 2, [(0, 1), (1, 1), (2, 1), (3, 1)]),
+        (2, 3, [(0, 1), (1, 1), (2, 1), (3, 1)] * 2),
+    ])
+    def test_whole_cells_unless_workers_would_idle(self, fanned_out,
+                                                   n_cells, jobs, ranges):
+        cells = [RunSpec(policy="static-high", n_disks=N_DISKS,
+                         workload=dataclasses.replace(CFG, seed=seed))
+                 for seed in range(n_cells)]
+        merged, _ = shard_module.run_sharded_cells(
+            cells, n_shards=N_SHARDS, chunk_size=CHUNK, jobs=jobs)
+        assert fanned_out == [ranges]
+        assert [r.n_requests for r in merged] == [CFG.n_requests] * n_cells
 
 
 class TestPartitionIdentity:
@@ -231,12 +267,6 @@ class TestPartitionIdentity:
 
 
 class TestRanges:
-    def test_ranges_are_even_and_contiguous(self):
-        assert shard_module._shard_ranges(8, 3) == [(0, 3), (3, 3), (6, 2)]
-        assert shard_module._shard_ranges(4, 4) == [(0, 1), (1, 1), (2, 1),
-                                                    (3, 1)]
-        assert shard_module._shard_ranges(16, 1) == [(0, 16)]
-
     def test_range_must_fit_the_plan(self):
         plan = ShardPlan(n_disks=N_DISKS, n_shards=N_SHARDS)
         with pytest.raises(ValueError, match="out of bounds"):
@@ -280,3 +310,24 @@ class TestRanges:
             assert segment.with_name(segment.name + ".partial").exists()
         assert not trace.exists()
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_a_shard_failing_to_close_publishes_no_segment_of_its_range(
+            self, monkeypatch, tmp_path):
+        # the shards before it are already captured: their segments must
+        # still wait for the whole range
+        original = shard_module._ShardRun.capture
+
+        def capture(self):
+            if self.index == 2:
+                raise OSError("segment volume full")
+            return original(self)
+
+        monkeypatch.setattr(shard_module._ShardRun, "capture", capture)
+        trace = tmp_path / "trace.jsonl"
+        with pytest.raises(CellExecutionError, match="segment volume full"):
+            _run("static-high-fcfs", obs=ObsConfig(trace_path=str(trace)))
+        for s in range(N_SHARDS):
+            segment = shard_segment_path(str(trace), s)
+            assert not segment.exists(), segment
+            assert segment.with_name(segment.name + ".partial").exists()
+        assert not trace.exists()

@@ -6,6 +6,9 @@ READ-replicate's replicas, MAID's cache copies — and that every policy
 survives an accelerated-failure run deterministically.
 """
 
+import signal
+
+import numpy as np
 import pytest
 
 from repro.experiments.runner import make_policy, run_simulation
@@ -13,6 +16,7 @@ from repro.faults import FaultConfig, FaultInjector
 from repro.policies.maid import MAIDPolicy
 from repro.workload.request import Request
 from repro.workload.synthetic import SyntheticWorkloadConfig, WorldCupLikeWorkload
+from repro.workload.trace import Trace
 
 #: Aggressive acceleration sized so a ~100 s, 4-disk run sees failures.
 FAULTS = FaultConfig(seed=3, accel=2e6, hazard_refresh_s=5.0,
@@ -107,3 +111,40 @@ class TestMaidCacheServing:
         # the primary was down
         assert len(ok) == 2 and not dead
         assert ok[1].request.served_by == 0
+
+
+class TestFailedLastArrival:
+    def test_run_ends_when_the_last_arrival_fails_in_route(
+            self, monkeypatch, tiny_fileset):
+        # With no retries, a request for a file on a dead disk with no
+        # live copy fails permanently inside route.  When that request
+        # is the last arrival, the run is done there: the finish step
+        # must not restart the kernel, whose hazard ticks never drain.
+        install = FaultInjector.install
+
+        def install_and_kill(self):
+            install(self)
+            # the layout is laid after install: look the disk up at 50 s
+            self._sim.schedule_at(
+                50.0, lambda: self._fail(int(self._array.placement[0])))
+
+        monkeypatch.setattr(FaultInjector, "install", install_and_kill)
+
+        def hung(signum, frame):
+            raise TimeoutError("run did not stop after its last request")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            trace = Trace(np.array([0.0, 0.1, 0.2, 100.0]),
+                          np.array([1, 2, 3, 0]))
+            result = run_simulation(
+                make_policy("static-high"), tiny_fileset, trace, n_disks=2,
+                faults=FaultConfig(accel=1.0, repair_delay_s=1e6,
+                                   max_retries=0))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert result.faults.requests_failed == 1
+        assert result.faults.disk_failures == 1
+        assert result.duration_s == 100.0
